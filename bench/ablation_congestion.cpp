@@ -75,10 +75,11 @@ struct CongestionTap final : net::PacketTap {
     delays.push_back(wait + serialization);
     queued.push_back(Event{edge.from, packet.channel});
   }
-  void on_drop(NodeId at, const net::Packet& packet, std::string_view reason,
+  void on_drop(NodeId at, const net::Packet& packet, net::DropReason reason,
                Time now) override {
     (void)now;
-    if (reason == "queue-full" || reason == "red-early") {
+    if (reason == net::DropReason::kQueueFull ||
+        reason == net::DropReason::kRedEarly) {
       drops.push_back(Event{at, packet.channel});
     }
   }

@@ -256,7 +256,6 @@ void write_report(const std::string& path,
     report.profile = &profile;
     report.registry = session->registry();
     report.sampler = session->sampler();
-    report.trace = session->trace();
     report.tracer = session->tracer();
     report.convergence = &convergence;
     report.info["protocol"] = std::string(to_string(proto));

@@ -28,7 +28,7 @@ file(READ "${OUT}" doc)
 foreach(needle
     "\"schema\"" "hbh.run_report/v1" "\"sweep\"" "\"runs\"" "\"HBH\""
     "\"counters\"" "\"net.tx.tree\"" "\"gauges\"" "\"series\""
-    "\"state.forwarding_entries\"" "\"messages\"" "\"messages_dropped\""
+    "\"state.forwarding_entries\"" "\"net.tx_bytes.data\""
     "\"p50\"" "\"p95\"" "\"p99\"" "\"trace\"" "hbh.trace/v1"
     "\"convergence\"" "\"grafts\"" "\"mean_join_to_first_delivery\""
     "\"perf_profile\"" "hbh.perf_profile/v1" "\"phases\"" "\"trial_setup\""

@@ -11,7 +11,7 @@
 
 #include "harness/session.hpp"
 #include "mcast/hbh/router.hpp"
-#include "metrics/trace.hpp"
+#include "metrics/probe.hpp"
 #include "topo/scenarios.hpp"
 #include "util/log.hpp"
 

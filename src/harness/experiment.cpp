@@ -410,7 +410,6 @@ bool write_run_report(const ExperimentSpec& spec,
     report.profile = &profile;
     report.registry = session.registry();
     report.sampler = session.sampler();
-    report.trace = session.trace();
     report.tracer = session.tracer();
     report.convergence = &convergence;
     report.info["protocol"] = std::string(to_string(sweep.protocol));

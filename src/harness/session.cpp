@@ -115,11 +115,10 @@ Session::Session(topo::Scenario scenario, Protocol protocol,
 }
 
 Session::~Session() {
-  net_->set_tap(nullptr);  // probe may outlive call frames, not the session
   net_->set_trace_hook(nullptr);
   if (sampler_) sampler_->stop();
   if (stats_tap_) net_->remove_tap(stats_tap_.get());
-  if (trace_) net_->remove_tap(trace_.get());
+  if (tracer_) net_->remove_tap(tracer_.get());
   if (auditor_) net_->remove_tap(auditor_.get());
 }
 
@@ -170,6 +169,7 @@ metrics::Tracer& Session::enable_tracing(std::size_t capacity) {
   if (!tracer_) {
     tracer_ = std::make_unique<metrics::Tracer>(sim_, capacity);
     net_->set_trace_hook(tracer_.get());
+    net_->add_tap(tracer_.get());  // drop spans
   }
   return *tracer_;
 }
@@ -179,14 +179,9 @@ metrics::Registry& Session::enable_telemetry(Time sample_period) {
   registry_ = std::make_unique<metrics::Registry>();
   metrics::Registry& reg = *registry_;
 
-  // Fabric: per-type tx/byte counters + drop counts + size histogram, and
-  // a bounded structured trace for the report's message summary. Both ride
-  // the persistent multi-tap seam, so measure()'s exclusive probe slot
-  // stays free.
+  // Fabric: per-type tx/byte counters + drop counts + size histogram.
   stats_tap_ = std::make_unique<metrics::NetworkStatsTap>(reg);
-  trace_ = std::make_unique<metrics::MessageTrace>();
   net_->add_tap(stats_tap_.get());
-  net_->add_tap(trace_.get());
 
   // Simulator health.
   reg.bind_gauge("sim.pending",
@@ -493,10 +488,24 @@ Measurement Session::measure_on(ChannelId id, Time drain) {
   ChannelState& ch = channels_.at(id);
   const std::vector<NodeId> expected = members_of(id);
   active_probe_ = std::make_unique<metrics::DataProbe>(next_probe_++);
-  net_->set_tap(active_probe_.get());
-  for (auto& [host, receiver] : receivers_) {
-    receiver->set_sink(active_probe_.get());
-  }
+  // Detach on every exit: HBH_AUDIT=strict throws mid-drain, and a probe
+  // left attached would dangle once the next measurement replaces
+  // active_probe_.
+  struct ProbeAttachment {
+    Session& s;
+    explicit ProbeAttachment(Session& session) : s(session) {
+      s.net_->add_tap(s.active_probe_.get());
+      for (auto& [host, receiver] : s.receivers_) {
+        receiver->set_sink(s.active_probe_.get());
+      }
+    }
+    ~ProbeAttachment() {
+      s.net_->remove_tap(s.active_probe_.get());
+      for (auto& [host, receiver] : s.receivers_) receiver->set_sink(nullptr);
+    }
+    ProbeAttachment(const ProbeAttachment&) = delete;
+    ProbeAttachment& operator=(const ProbeAttachment&) = delete;
+  } const attachment{*this};
 
   const std::uint32_t seq = ch.next_seq++;
   if (auditor_) auditor_->note_emission(ch.channel, seq, sim_.now());
@@ -512,9 +521,6 @@ Measurement Session::measure_on(ChannelId id, Time drain) {
   m.missing = active_probe_->missing(expected);
   m.duplicated = active_probe_->duplicated();
   m.per_link = active_probe_->per_link();
-
-  net_->set_tap(nullptr);
-  for (auto& [host, receiver] : receivers_) receiver->set_sink(nullptr);
 
   // Tree-cost drift vs the oracle SPT (HBH's exact forward-SPT claim;
   // REUNITE/PIM legitimately deviate under asymmetric routing, so no

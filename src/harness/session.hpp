@@ -30,7 +30,6 @@
 #include "metrics/probe.hpp"
 #include "metrics/registry.hpp"
 #include "metrics/sampler.hpp"
-#include "metrics/trace.hpp"
 #include "metrics/tracer.hpp"
 #include "net/network.hpp"
 #include "routing/unicast.hpp"
@@ -357,8 +356,8 @@ class Session {
   /// source tables must come through here.
   [[nodiscard]] net::ProtocolAgent& source_agent(ChannelId id = 0) const;
 
-  /// Switches run-wide telemetry on: installs a fabric stats tap and a
-  /// message trace on the network, binds protocol-state gauges (MFT/MCT
+  /// Switches run-wide telemetry on: installs a fabric stats tap on the
+  /// network, binds protocol-state gauges (MFT/MCT
   /// entry counts — total and per router class — event-queue depth,
   /// membership, channel count, per-agent message and timer counters),
   /// and arms a StateSampler that snapshots every gauge every
@@ -367,7 +366,8 @@ class Session {
   metrics::Registry& enable_telemetry(Time sample_period = 10.0);
 
   /// Switches causal tracing on: installs a metrics::Tracer as the
-  /// network's trace hook. Every subscribe/unsubscribe, tree round, data
+  /// network's trace hook and as a tap on its observer list (drop spans).
+  /// Every subscribe/unsubscribe, tree round, data
   /// emission, and fault event then opens a root span; the context rides
   /// in packets hop by hop, so retransmissions, table mutations, drops,
   /// and deliveries become causally-parented child spans. Span ids are
@@ -413,9 +413,6 @@ class Session {
   }
   [[nodiscard]] const metrics::StateSampler* sampler() const noexcept {
     return sampler_.get();
-  }
-  [[nodiscard]] const metrics::MessageTrace* trace() const noexcept {
-    return trace_.get();
   }
 
   /// Sum of all agents' receive/timer counters (always available),
@@ -515,7 +512,6 @@ class Session {
   // are destroyed first; ~Session detaches them from the network anyway.
   std::unique_ptr<metrics::Registry> registry_;
   std::unique_ptr<metrics::NetworkStatsTap> stats_tap_;
-  std::unique_ptr<metrics::MessageTrace> trace_;
   std::unique_ptr<metrics::StateSampler> sampler_;
   std::unique_ptr<metrics::Tracer> tracer_;
   std::unique_ptr<metrics::Auditor> auditor_;

@@ -82,9 +82,7 @@ bool CompiledForwarder::dispatch(Block& b, NodeId to, NodeId from,
       if (packet.dst == b.addr) {
         // ProtocolAgent::deliver_local, replayed.
         ++net_->counters().local_sink;
-        if (Logger::instance().enabled(LogLevel::kTrace)) {
-          log(LogLevel::kTrace, to_string(to), " sink ", packet.describe());
-        }
+        HBH_LOG(LogLevel::kTrace, to_string(to), " sink ", packet.describe());
         return true;
       }
       net_->send(to, std::move(packet), this);
@@ -126,10 +124,8 @@ bool CompiledForwarder::dispatch_hbh(Block& b, NodeId to, net::Packet& packet) {
     return false;
   }
   if (!e.has_table) {
-    if (Logger::instance().enabled(LogLevel::kDebug)) {
-      log(LogLevel::kDebug, to_string(to),
-          " data addressed to non-branching node, dropped");
-    }
+    HBH_LOG(LogLevel::kDebug, to_string(to),
+            " data addressed to non-branching node, dropped");
     return true;
   }
   const net::DataPayload& d = packet.data();
@@ -220,9 +216,7 @@ bool CompiledForwarder::dispatch_pim(Block& b, NodeId to, NodeId from,
   // ProtocolAgent behavior.
   if (packet.dst == b.addr) {
     ++net_->counters().local_sink;
-    if (Logger::instance().enabled(LogLevel::kTrace)) {
-      log(LogLevel::kTrace, to_string(to), " sink ", packet.describe());
-    }
+    HBH_LOG(LogLevel::kTrace, to_string(to), " sink ", packet.describe());
     return true;
   }
   net_->send(to, std::move(packet), this);

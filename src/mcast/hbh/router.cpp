@@ -105,8 +105,8 @@ void HbhRouter::send_fusion(const net::Channel& ch, Mft& mft,
   fusion.type = PacketType::kFusion;
   fusion.trace = ctx;
   fusion.payload = net::FusionPayload{mft.live_targets(now()), self_addr()};
-  log(LogLevel::kDebug, to_string(self()), " fusion -> ", upstream.to_string(),
-      " ", mft.to_string(now()));
+  HBH_LOG(LogLevel::kDebug, to_string(self()), " fusion -> ",
+          upstream.to_string(), " ", mft.to_string(now()));
   forward(std::move(fusion));
 }
 
@@ -128,8 +128,8 @@ void HbhRouter::on_join(Packet&& packet) {
         entry->refresh(config_, now());
         ++joins_intercepted_;
         trace_instant(packet.trace, "join-intercept", ch, join.receiver);
-        log(LogLevel::kTrace, to_string(self()), " intercepts join(",
-            join.receiver.to_string(), ")");
+        HBH_LOG(LogLevel::kTrace, to_string(self()), " intercepts join(",
+                join.receiver.to_string(), ")");
         send_self_join(ch, packet.trace);
         return;
       }
@@ -249,8 +249,8 @@ void HbhRouter::on_tree(Packet&& packet) {
   st.mft->upsert(r, config_, now());
   note_structural(ch, 2);
   trace_instant(packet.trace, "branching", ch, r);
-  log(LogLevel::kDebug, to_string(self()), " becomes branching for ",
-      ch.to_string(), " ", st.mft->to_string(now()));
+  HBH_LOG(LogLevel::kDebug, to_string(self()), " becomes branching for ",
+          ch.to_string(), " ", st.mft->to_string(now()));
   send_fusion(ch, *st.mft, tree.last_branch, packet.trace);
   packet.tree().last_branch = self_addr();
   forward(std::move(packet));
@@ -285,8 +285,8 @@ void HbhRouter::on_data(Packet&& packet) {
   purge(ch, packet.trace);
   const auto it = channels_.find(ch);
   if (it == channels_.end() || !it->second.mft) {
-    log(LogLevel::kDebug, to_string(self()),
-        " data addressed to non-branching node, dropped");
+    HBH_LOG(LogLevel::kDebug, to_string(self()),
+            " data addressed to non-branching node, dropped");
     return;
   }
   if (!guards_[ch].first_time(packet.data().probe, packet.data().seq)) {

@@ -81,8 +81,8 @@ void PimRouter::on_prune(Packet&& packet, NodeId from) {
     // we are the tree root (the prune's addressee).
     if (packet.dst != self_addr()) forward(std::move(packet));
   }
-  log(LogLevel::kTrace, to_string(self()), " PIM pruned oif ",
-      to_string(from), " for ", ch.to_string());
+  HBH_LOG(LogLevel::kTrace, to_string(self()), " PIM pruned oif ",
+          to_string(from), " for ", ch.to_string());
 }
 
 void PimRouter::on_join(Packet&& packet, NodeId from) {
@@ -100,8 +100,8 @@ void PimRouter::on_join(Packet&& packet, NodeId from) {
   if (inserted) {
     trace_instant(packet.trace, "oif-install", ch, packet.pim_join().receiver);
     note_table_mutation();
-    log(LogLevel::kTrace, to_string(self()), " PIM oif += ", to_string(from),
-        " for ", ch.to_string());
+    HBH_LOG(LogLevel::kTrace, to_string(self()), " PIM oif += ",
+            to_string(from), " for ", ch.to_string());
   }
   if (packet.dst == self_addr()) return;  // we are the root (RP) — stop
   forward(std::move(packet));             // keep travelling toward the root

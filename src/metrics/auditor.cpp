@@ -114,11 +114,12 @@ void Auditor::on_transmit(const net::Topology::Edge& edge,
 }
 
 void Auditor::on_drop(NodeId at, const net::Packet& packet,
-                      std::string_view reason, Time now) {
+                      net::DropReason reason, Time now) {
   if constexpr (!kTelemetryCompiled) return;
   // A data packet can only exhaust a 64-hop TTL in these (≤ 50 node)
   // topologies by circulating: definitive loop evidence.
-  if (reason == "ttl-expired" && packet.type == net::PacketType::kData) {
+  if (reason == net::DropReason::kTtlExpired &&
+      packet.type == net::PacketType::kData) {
     raise(AnomalyKind::kLoop, now, at, packet.channel, packet.data().seq,
           packet.trace.trace_id, "data packet exhausted its ttl");
   }

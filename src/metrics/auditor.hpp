@@ -107,7 +107,7 @@ class Auditor : public net::PacketTap {
   // --- wire observation (PacketTap; fed by Network) ----------------------
   void on_transmit(const net::Topology::Edge& edge, const net::Packet& packet,
                    Time now) override;
-  void on_drop(NodeId at, const net::Packet& packet, std::string_view reason,
+  void on_drop(NodeId at, const net::Packet& packet, net::DropReason reason,
                Time now) override;
   void on_deliver(NodeId to, NodeId from, const net::Packet& packet,
                   Time now) override;

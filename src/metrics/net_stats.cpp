@@ -27,12 +27,15 @@ void NetworkStatsTap::on_transmit(const net::Topology::Edge& edge,
 }
 
 void NetworkStatsTap::on_drop(NodeId at, const net::Packet& packet,
-                              std::string_view reason, Time now) {
+                              net::DropReason reason, Time now) {
   (void)at, (void)packet, (void)now;
   drops_->inc();
-  // Per-reason breakdown: drops are rare (a converged tree drops nothing),
-  // so the by-name lookup here is off the hot path.
-  registry_.counter("net.drops." + std::string{reason}).inc();
+  Counter*& by_reason = drops_by_reason_[static_cast<std::size_t>(reason)];
+  if (by_reason == nullptr) {
+    by_reason = &registry_.counter("net.drops." +
+                                   std::string{net::to_string(reason)});
+  }
+  by_reason->inc();
 }
 
 std::vector<double> queue_delay_bounds() {

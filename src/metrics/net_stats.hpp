@@ -28,7 +28,7 @@ class NetworkStatsTap : public net::PacketTap {
 
   void on_transmit(const net::Topology::Edge& edge, const net::Packet& packet,
                    Time now) override;
-  void on_drop(NodeId at, const net::Packet& packet, std::string_view reason,
+  void on_drop(NodeId at, const net::Packet& packet, net::DropReason reason,
                Time now) override;
   void on_queue(const net::Topology::Edge& edge, const net::Packet& packet,
                 Time wait, Time serialization, std::size_t depth,
@@ -46,6 +46,9 @@ class NetworkStatsTap : public net::PacketTap {
   std::array<Counter*, net::kPacketTypeCount> tx_{};
   std::array<Counter*, net::kPacketTypeCount> tx_bytes_{};
   Counter* drops_;
+  // Per-reason drop counters, registered on a reason's first drop so a
+  // drop-free run reports only the `net.drops` total.
+  std::array<Counter*, net::kDropReasonCount> drops_by_reason_{};
   Histogram* packet_bytes_;
   // Created lazily on the first queue admission: an uncapacitated run
   // never registers queue metrics, keeping its report byte-identical.

@@ -1,6 +1,9 @@
 #include "metrics/probe.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <set>
+#include <sstream>
 
 namespace hbh::metrics {
 
@@ -18,7 +21,7 @@ void DataProbe::on_transmit(const net::Topology::Edge& edge,
 }
 
 void DataProbe::on_drop(NodeId at, const net::Packet& packet,
-                        std::string_view reason, Time now) {
+                        net::DropReason reason, Time now) {
   (void)at, (void)reason, (void)now;
   if (matches(packet)) ++drops_;
 }
@@ -66,6 +69,47 @@ std::vector<NodeId> DataProbe::duplicated() const {
 
 bool DataProbe::exactly_once(const std::vector<NodeId>& expected) const {
   return missing(expected).empty() && duplicated().empty();
+}
+
+std::string render_tree(
+    const std::map<std::pair<NodeId, NodeId>, std::size_t>& per_link,
+    NodeId root) {
+  std::map<NodeId, std::vector<std::pair<NodeId, std::size_t>>> children;
+  std::set<std::pair<std::uint32_t, std::uint32_t>> rendered;
+  for (const auto& [link, copies] : per_link) {
+    children[link.first].emplace_back(link.second, copies);
+  }
+
+  std::ostringstream out;
+  // Depth-first from the root. A node may appear multiple times if
+  // several copies traverse it — render each child edge once.
+  const std::function<void(NodeId, int)> walk = [&](NodeId at, int depth) {
+    const auto it = children.find(at);
+    if (it == children.end()) return;
+    for (const auto& [child, copies] : it->second) {
+      if (!rendered.insert({at.index(), child.index()}).second) continue;
+      for (int i = 0; i < depth; ++i) out << "  ";
+      out << "+- " << hbh::to_string(child);
+      if (copies > 1) out << " (x" << copies << ")";
+      out << '\n';
+      walk(child, depth + 1);
+    }
+  };
+  out << hbh::to_string(root) << '\n';
+  walk(root, 1);
+
+  // Any unrendered links are disconnected from the root (diagnostic aid).
+  bool header = false;
+  for (const auto& [link, copies] : per_link) {
+    if (rendered.contains({link.first.index(), link.second.index()})) continue;
+    if (!header) {
+      out << "unrooted links:\n";
+      header = true;
+    }
+    out << "  " << hbh::to_string(link.first) << "->"
+        << hbh::to_string(link.second) << " (x" << copies << ")\n";
+  }
+  return out.str();
 }
 
 }  // namespace hbh::metrics

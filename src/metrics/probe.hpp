@@ -7,10 +7,13 @@
 //    arrival time minus the source timestamp.
 //
 // The probe also audits delivery: every subscribed receiver must get the
-// packet exactly once in a converged tree.
+// packet exactly once in a converged tree. render_tree() turns a measured
+// per-link copy map into the indented ASCII tree the examples print.
 #pragma once
 
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mcast/common/membership.hpp"
@@ -27,7 +30,7 @@ class DataProbe : public net::PacketTap, public mcast::DeliverySink {
   // --- PacketTap ---
   void on_transmit(const net::Topology::Edge& edge, const net::Packet& packet,
                    Time now) override;
-  void on_drop(NodeId at, const net::Packet& packet, std::string_view reason,
+  void on_drop(NodeId at, const net::Packet& packet, net::DropReason reason,
                Time now) override;
 
   // --- DeliverySink ---
@@ -79,5 +82,12 @@ class DataProbe : public net::PacketTap, public mcast::DeliverySink {
   std::map<std::pair<NodeId, NodeId>, std::size_t> per_link_;
   std::map<NodeId, std::vector<Time>> deliveries_;
 };
+
+/// Renders a measured distribution tree (Measurement::per_link) as an
+/// indented ASCII tree rooted at `root`. Links not reachable from the root
+/// (shouldn't happen in a converged tree) are listed separately.
+[[nodiscard]] std::string render_tree(
+    const std::map<std::pair<NodeId, NodeId>, std::size_t>& per_link,
+    NodeId root);
 
 }  // namespace hbh::metrics

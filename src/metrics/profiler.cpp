@@ -4,7 +4,7 @@
 
 namespace hbh::metrics {
 
-void write_phase_map(JsonWriter& w, const PhaseMap& phases) {
+void write_phase_map(JsonWriter& w, const prof::PhaseMap& phases) {
   w.begin_object();
   for (const auto& [path, s] : phases) {
     w.key(path);
@@ -31,7 +31,7 @@ void write_resources(JsonWriter& w) {
 
 }  // namespace
 
-void write_perf_profile(JsonWriter& w, const PhaseMap& phases) {
+void write_perf_profile(JsonWriter& w, const prof::PhaseMap& phases) {
   w.begin_object();
   w.member("schema", kPerfProfileSchema);
   w.key("phases");
@@ -40,9 +40,9 @@ void write_perf_profile(JsonWriter& w, const PhaseMap& phases) {
   w.end_object();
 }
 
-bool write_profile_file(const std::map<std::string, PhaseMap>& by_label,
-                        const std::map<std::string, std::string>& info,
-                        const std::string& path) {
+bool write_profile_file(
+    const std::map<std::string, prof::PhaseMap>& by_label,
+    const std::map<std::string, std::string>& info, const std::string& path) {
   std::ofstream out{path};
   if (!out) return false;
   JsonWriter w{out};

@@ -1,11 +1,13 @@
 // Machine-readable run reports (schema "hbh.run_report/v1").
 //
 // A RunReport bundles everything one instrumented run produced — free-form
-// metadata, the Registry's counters/gauges/histograms, the StateSampler's
-// time series, and a MessageTrace's per-type message/byte summary — and
-// serializes it to JSON. Benches opt in with HBH_REPORT=path.json (see
-// docs/OBSERVABILITY.md for the schema), giving every future perf PR a
-// baseline artifact to diff against.
+// metadata, the Registry's counters/gauges/histograms (per-type message and
+// byte counts are the `net.tx.<type>` / `net.tx_bytes.<type>` counters),
+// the StateSampler's time series, the tracer's span summary, convergence
+// timelines and the phase profile — and serializes it to JSON. Benches
+// opt in with HBH_REPORT=path.json (see docs/OBSERVABILITY.md for the
+// schema), giving every future perf change a baseline artifact to diff
+// against.
 #pragma once
 
 #include <map>
@@ -16,7 +18,6 @@
 #include "metrics/profiler.hpp"
 #include "metrics/registry.hpp"
 #include "metrics/sampler.hpp"
-#include "metrics/trace.hpp"
 #include "metrics/tracer.hpp"
 
 namespace hbh::metrics {
@@ -32,13 +33,12 @@ struct RunReport {
   /// Optional sections; null pointers are simply omitted from the JSON.
   const Registry* registry = nullptr;
   const StateSampler* sampler = nullptr;
-  const MessageTrace* trace = nullptr;
   const Tracer* tracer = nullptr;                 ///< causal span summary
   const ConvergenceSummary* convergence = nullptr;
   /// Aggregated phase profile (schema hbh.perf_profile/v1); omitted when
   /// null or empty. Phase counts are deterministic at any HBH_JOBS;
   /// timings are excluded from byte-identity checks.
-  const PhaseMap* profile = nullptr;
+  const prof::PhaseMap* profile = nullptr;
 
   /// Writes the report's keys into an already-open JSON object — lets a
   /// caller embed several runs in one document (harness::write_run_report).

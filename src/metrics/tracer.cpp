@@ -110,11 +110,11 @@ net::TraceContext Tracer::on_transmit(const net::Topology::Edge& edge,
 }
 
 void Tracer::on_drop(NodeId at, const net::Packet& packet,
-                     std::string_view reason, Time now) {
+                     net::DropReason reason, Time now) {
   if constexpr (!kTelemetryCompiled) return;
   if (!enabled_ || !packet.trace.active()) return;
   std::string name{"drop:"};
-  name.append(reason);
+  name.append(net::to_string(reason));
   open(packet.trace.trace_id, packet.trace.span_id, SpanKind::kInstant, name,
        at, packet.channel, packet_subject(packet), packet.type, now, now);
 }

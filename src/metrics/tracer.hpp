@@ -7,13 +7,14 @@
 // so multi-hop chains — HBH's join→tree→fusion cascades, REUNITE
 // replication, PIM join/prune propagation, data fan-out — form a single
 // causal tree per root. Table mutations, deliveries, and drops are instant
-// events hung off the span that caused them.
+// events hung off the span that caused them; drops arrive through the
+// fabric's tap list (net::PacketTap), like every other observer's.
 //
 // Span ids are allocated sequentially in simulation-event order, so a
 // serial instrumented run produces byte-identical traces at any HBH_JOBS
 // setting (the harness only ever traces serial re-runs). Recording is
-// capacity-bounded like StateSampler/MessageTrace: ids keep advancing when
-// full (structure stays deterministic) while dropped spans are counted.
+// capacity-bounded like StateSampler: ids keep advancing when full
+// (structure stays deterministic) while dropped spans are counted.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +53,7 @@ struct SpanRecord {
   Time end = 0;
 };
 
-class Tracer final : public net::TraceHook {
+class Tracer final : public net::TraceHook, public net::PacketTap {
  public:
   /// Records at most `capacity` spans; ids keep advancing beyond that so
   /// trace structure is independent of the recording limit.
@@ -77,7 +78,12 @@ class Tracer final : public net::TraceHook {
   net::TraceContext on_transmit(const net::Topology::Edge& edge,
                                 const net::Packet& packet, Time start,
                                 Time arrival) override;
-  void on_drop(NodeId at, const net::Packet& packet, std::string_view reason,
+
+  // net::PacketTap: a traced packet's drop becomes a `drop:<reason>`
+  // instant. The using-declaration keeps the tap's on_transmit overload
+  // visible beside the TraceHook one above.
+  using net::PacketTap::on_transmit;
+  void on_drop(NodeId at, const net::Packet& packet, net::DropReason reason,
                Time now) override;
 
   [[nodiscard]] const std::vector<SpanRecord>& spans() const noexcept {

@@ -19,6 +19,26 @@ Ipv4Addr node_address(NodeId n) {
                   static_cast<std::uint8_t>(1)};
 }
 
+std::string_view to_string(DropReason reason) noexcept {
+  switch (reason) {
+    case DropReason::kTtlExpired:
+      return "ttl-expired";
+    case DropReason::kNoRoute:
+      return "no-route";
+    case DropReason::kUnknownDestination:
+      return "unknown-destination";
+    case DropReason::kLinkDown:
+      return "link-down";
+    case DropReason::kLoss:
+      return "loss";
+    case DropReason::kQueueFull:
+      return "queue-full";
+    case DropReason::kRedEarly:
+      return "red-early";
+  }
+  return "?";
+}
+
 void ProtocolAgent::handle(Packet&& packet, NodeId from) {
   if (packet.dst == addr_) {
     deliver_local(std::move(packet), from);
@@ -68,7 +88,7 @@ void ProtocolAgent::trace_instant(const TraceContext& parent,
 void ProtocolAgent::deliver_local(Packet&& packet, NodeId from) {
   (void)from;
   ++net_->counters().local_sink;
-  log(LogLevel::kTrace, to_string(node_), " sink ", packet.describe());
+  HBH_LOG(LogLevel::kTrace, to_string(node_), " sink ", packet.describe());
 }
 
 Network::Network(sim::Simulator& simulator, const Topology& topo,
@@ -137,7 +157,7 @@ void Network::send(NodeId from, Packet packet, ArrivalSink* sink) {
   assert(topo_.contains(from));
   const NodeId dst = node_of(packet.dst);
   if (!dst.valid()) {
-    drop(from, packet, "unknown-destination");
+    drop(from, packet, DropReason::kUnknownDestination);
     return;
   }
   if (dst == from) {
@@ -154,11 +174,11 @@ void Network::send(NodeId from, Packet packet, ArrivalSink* sink) {
   }
   const NodeId next = routes_->next_hop(from, dst);
   if (!next.valid()) {
-    drop(from, packet, "no-route");
+    drop(from, packet, DropReason::kNoRoute);
     return;
   }
   if (packet.ttl <= 0) {
-    drop(from, packet, "ttl-expired");
+    drop(from, packet, DropReason::kTtlExpired);
     return;
   }
   --packet.ttl;
@@ -173,7 +193,7 @@ void Network::send_direct(NodeId from, NodeId neighbor, Packet packet,
   const auto link = topo_.find_link(from, neighbor);
   assert(link.has_value());
   if (packet.ttl <= 0) {
-    drop(from, packet, "ttl-expired");
+    drop(from, packet, DropReason::kTtlExpired);
     return;
   }
   --packet.ttl;
@@ -254,12 +274,12 @@ bool Network::admit(LinkId link, const Topology::Edge& edge,
   }
   const std::size_t occupancy = q.departures.size();
   if (occupancy >= edge.attrs.queue_limit) {
-    drop(edge.from, packet, "queue-full");
+    drop(edge.from, packet, DropReason::kQueueFull);
     return false;
   }
   if (edge.attrs.aqm == AqmPolicy::kRed &&
       red_rejects(q, link, edge.attrs, occupancy)) {
-    drop(edge.from, packet, "red-early");
+    drop(edge.from, packet, DropReason::kRedEarly);
     return false;
   }
   const Time serialization = edge.attrs.serialization_time(encoded_size(packet));
@@ -271,9 +291,6 @@ bool Network::admit(LinkId link, const Topology::Edge& edge,
   if (depth > q.high_water) q.high_water = depth;
   ++q.admitted;
   ++counters_.queued_packets;
-  if (tap_ != nullptr) {
-    tap_->on_queue(edge, packet, wait, serialization, depth, now);
-  }
   for (PacketTap* tap : taps_) {
     tap->on_queue(edge, packet, wait, serialization, depth, now);
   }
@@ -284,7 +301,7 @@ bool Network::admit(LinkId link, const Topology::Edge& edge,
 void Network::transmit(LinkId link, Packet packet, ArrivalSink* sink) {
   const Topology::Edge& edge = topo_.edge(link);
   if (!edge.up) {
-    drop(edge.from, packet, "link-down");
+    drop(edge.from, packet, DropReason::kLinkDown);
     return;
   }
 
@@ -309,11 +326,11 @@ void Network::transmit(LinkId link, Packet packet, ArrivalSink* sink) {
   if (impairments_.any_active()) {
     const ImpairmentDecision d = impairments_.decide(link, sim_.now());
     if (d.link_down) {
-      drop(edge.from, packet, "link-down");
+      drop(edge.from, packet, DropReason::kLinkDown);
       return;
     }
     if (d.drop) {
-      drop(edge.from, packet, "loss");
+      drop(edge.from, packet, DropReason::kLoss);
       return;
     }
     extra_delay = d.extra_delay;
@@ -346,15 +363,9 @@ void Network::transmit(LinkId link, Packet packet, ArrivalSink* sink) {
       copy.trace =
           trace_hook_->on_transmit(edge, copy, sim_.now(), sim_.now() + latency);
     }
-    if (tap_ != nullptr) tap_->on_transmit(edge, copy, sim_.now());
     for (PacketTap* tap : taps_) tap->on_transmit(edge, copy, sim_.now());
-    // The log arguments (to_string, describe) dominate per-hop cost when
-    // evaluated eagerly; log() re-checks enabled(), so guarding here only
-    // skips the formatting, never a line that would have been printed.
-    if (Logger::instance().enabled(LogLevel::kTrace)) {
-      log(LogLevel::kTrace, to_string(edge.from), "->", to_string(edge.to),
-          " ", copy.describe());
-    }
+    HBH_LOG(LogLevel::kTrace, to_string(edge.from), "->", to_string(edge.to),
+            " ", copy.describe());
     if (sink != nullptr) {
       sink->on_arrival(to, from, std::move(copy), latency);
     } else {
@@ -373,7 +384,6 @@ void Network::deliver(NodeId to, NodeId from, Packet packet) {
   // Taps observe the arrival before the fast-path offer: compiled and
   // interpreted hops funnel through this one choke point, so auditors see
   // both identically.
-  if (tap_ != nullptr) tap_->on_deliver(to, from, packet, sim_.now());
   for (PacketTap* tap : taps_) tap->on_deliver(to, from, packet, sim_.now());
   if (fastpath_ != nullptr && packet.type == PacketType::kData &&
       fastpath_->on_deliver(to, from, packet)) {
@@ -382,27 +392,31 @@ void Network::deliver(NodeId to, NodeId from, Packet packet) {
   agent.handle(std::move(packet), from);
 }
 
-void Network::drop(NodeId at, const Packet& packet, std::string_view reason) {
-  if (reason == "ttl-expired") {
-    ++counters_.drops_ttl;
-  } else if (reason == "link-down") {
-    ++counters_.drops_link_down;
-  } else if (reason == "loss") {
-    ++counters_.drops_loss;
-  } else if (reason == "queue-full") {
-    ++counters_.drops_queue_full;
-  } else if (reason == "red-early") {
-    ++counters_.drops_red;
-  } else {
-    ++counters_.drops_no_route;
+void Network::drop(NodeId at, const Packet& packet, DropReason reason) {
+  switch (reason) {
+    case DropReason::kTtlExpired:
+      ++counters_.drops_ttl;
+      break;
+    case DropReason::kNoRoute:
+    case DropReason::kUnknownDestination:
+      ++counters_.drops_no_route;
+      break;
+    case DropReason::kLinkDown:
+      ++counters_.drops_link_down;
+      break;
+    case DropReason::kLoss:
+      ++counters_.drops_loss;
+      break;
+    case DropReason::kQueueFull:
+      ++counters_.drops_queue_full;
+      break;
+    case DropReason::kRedEarly:
+      ++counters_.drops_red;
+      break;
   }
-  if (trace_hook_ != nullptr && packet.trace.active()) {
-    trace_hook_->on_drop(at, packet, reason, sim_.now());
-  }
-  if (tap_ != nullptr) tap_->on_drop(at, packet, reason, sim_.now());
   for (PacketTap* tap : taps_) tap->on_drop(at, packet, reason, sim_.now());
-  log(LogLevel::kDebug, to_string(at), " drop(", reason, ") ",
-      packet.describe());
+  HBH_LOG(LogLevel::kDebug, to_string(at), " drop(", to_string(reason), ") ",
+          packet.describe());
 }
 
 }  // namespace hbh::net

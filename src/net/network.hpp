@@ -4,9 +4,14 @@
 // Packet life cycle: an agent calls send() (routed hop-by-hop toward the
 // packet's unicast destination) or send_direct() (across one named link —
 // how true multicast forwarding like PIM's RPF trees is modelled). Each
-// transmission is delayed by the directed link's propagation delay and
-// observed by an optional PacketTap, which the metrics module uses to count
-// per-link copies (tree cost) and per-receiver delays.
+// transmission is delayed by the directed link's propagation delay.
+//
+// Observation has one seam: a list of PacketTaps (add_tap/remove_tap)
+// notified at the fabric's choke points — transmit, queue admission, drop
+// (with a DropReason) and deliver. Every observer rides it: the metrics
+// module's tree-cost/delay probe, telemetry counters, the invariant
+// auditor, and the causal tracer's drop spans. The TraceHook observes
+// nothing: it mints the spans that traced packets carry hop to hop.
 #pragma once
 
 #include <array>
@@ -149,10 +154,6 @@ class TraceHook {
   virtual TraceContext on_transmit(const Topology::Edge& edge,
                                    const Packet& packet, Time start,
                                    Time arrival) = 0;
-
-  /// Called when a traced packet is dropped (TTL, loss, link-down, ...).
-  virtual void on_drop(NodeId at, const Packet& packet,
-                       std::string_view reason, Time now) = 0;
 };
 
 /// Data-plane fast-path seam. When installed, the fabric offers every
@@ -195,6 +196,22 @@ class ArrivalSink {
                           Time delay) = 0;
 };
 
+/// Why the fabric discarded a packet. to_string() gives the names the run
+/// report's `net.drops.<reason>` counters and the tracer's `drop:<reason>`
+/// spans carry, so they must not change.
+enum class DropReason : std::uint8_t {
+  kTtlExpired,
+  kNoRoute,
+  kUnknownDestination,
+  kLinkDown,   ///< down edge or blackhole window
+  kLoss,       ///< impairment loss
+  kQueueFull,  ///< drop-tail egress overflow
+  kRedEarly,   ///< RED early drop
+};
+inline constexpr std::size_t kDropReasonCount = 7;
+
+[[nodiscard]] std::string_view to_string(DropReason reason) noexcept;
+
 /// Observer of fabric activity; used by metrics probes and trace tooling.
 class PacketTap {
  public:
@@ -203,8 +220,8 @@ class PacketTap {
                            Time now) {
     (void)edge, (void)packet, (void)now;
   }
-  virtual void on_drop(NodeId at, const Packet& packet,
-                       std::string_view reason, Time now) {
+  virtual void on_drop(NodeId at, const Packet& packet, DropReason reason,
+                       Time now) {
     (void)at, (void)packet, (void)reason, (void)now;
   }
   /// A data copy was admitted to a capacitated link's egress queue: it
@@ -235,7 +252,7 @@ struct NetworkCounters {
   std::uint64_t data_transmissions = 0;
   std::uint64_t control_transmissions = 0;
   std::uint64_t drops_ttl = 0;
-  std::uint64_t drops_no_route = 0;
+  std::uint64_t drops_no_route = 0;    ///< no-route + unknown-destination
   std::uint64_t drops_link_down = 0;   ///< down edge or blackhole window
   std::uint64_t drops_loss = 0;        ///< impairment loss
   std::uint64_t duplicates_injected = 0;  ///< impairment duplication
@@ -288,13 +305,8 @@ class Network {
   void send_direct(NodeId from, NodeId neighbor, Packet packet,
                    ArrivalSink* sink = nullptr);
 
-  /// Sets the exclusive *measurement* tap slot (one active probe at a
-  /// time; pass nullptr to clear). Persistent observers — telemetry stats,
-  /// message traces — use add_tap()/remove_tap() instead and coexist with
-  /// whatever probe occupies this slot.
-  void set_tap(PacketTap* tap) noexcept { tap_ = tap; }
-
-  /// Registers a persistent observer (no ownership; at most once each).
+  /// Registers an observer (no ownership; at most once each). Taps are
+  /// notified in registration order.
   void add_tap(PacketTap* tap);
   void remove_tap(PacketTap* tap) noexcept;
 
@@ -383,7 +395,7 @@ class Network {
   void transmit(LinkId link, Packet packet, ArrivalSink* sink = nullptr);
   /// Hands an arrived packet to the node's agent (counting the receive).
   void deliver(NodeId to, NodeId from, Packet packet);
-  void drop(NodeId at, const Packet& packet, std::string_view reason);
+  void drop(NodeId at, const Packet& packet, DropReason reason);
 
   /// Egress queue of one capacitated directed edge. Occupancy is tracked
   /// event-free: `departures` holds the serialization-completion time of
@@ -414,8 +426,7 @@ class Network {
   const routing::UnicastRouting* routes_;
   std::vector<std::unique_ptr<ProtocolAgent>> agents_;
   std::unordered_map<Ipv4Addr, NodeId> addr_to_node_;
-  PacketTap* tap_ = nullptr;
-  std::vector<PacketTap*> taps_;  ///< persistent observers (telemetry)
+  std::vector<PacketTap*> taps_;
   TraceHook* trace_hook_ = nullptr;
   DataFastpath* fastpath_ = nullptr;
   TableMutationListener* mutation_listener_ = nullptr;

@@ -99,17 +99,15 @@ void append_all(std::ostringstream& out, const T& first, const Rest&... rest) {
   out << first;
   append_all(out, rest...);
 }
-}  // namespace detail
 
-/// Logs `parts...` stream-concatenated at `level` if enabled.
+/// Formats and writes one line; callers have already checked the level.
 template <typename... Parts>
-void log(LogLevel level, const Parts&... parts) {
-  Logger& logger = Logger::instance();
-  if (!logger.enabled(level)) return;
+void write_line(LogLevel level, const Parts&... parts) {
   std::ostringstream out;
-  detail::append_all(out, parts...);
-  logger.write(level, out.str());
+  append_all(out, parts...);
+  Logger::instance().write(level, out.str());
 }
+}  // namespace detail
 
 /// RAII capture of all log lines at or above `level`; restores the previous
 /// sink and level on destruction. Used by tests asserting on traces.
@@ -134,3 +132,14 @@ class LogCapture {
 };
 
 }  // namespace hbh
+
+/// Logs the arguments stream-concatenated at `level` if it is enabled. The
+/// level is checked first, so the arguments (to_string() calls, packet
+/// descriptions) are not evaluated at a disabled level.
+#define HBH_LOG(level, ...)                                   \
+  do {                                                        \
+    const ::hbh::LogLevel hbh_log_level_ = (level);           \
+    if (::hbh::Logger::instance().enabled(hbh_log_level_)) {  \
+      ::hbh::detail::write_line(hbh_log_level_, __VA_ARGS__); \
+    }                                                         \
+  } while (false)

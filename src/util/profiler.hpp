@@ -4,8 +4,7 @@
 // The profiler lives in util so every layer — routing (SPF), sim, mcast
 // (tree rounds, refresh, data fan-out), harness — can drop an HBH_PHASE
 // scope without a dependency cycle; serialization to the run report lives
-// in src/metrics/profiler.hpp (which re-exports these types as
-// metrics::PhaseProfiler et al.).
+// in src/metrics/profiler.hpp.
 //
 // Design constraints, in order:
 //  1. Determinism. Phase *counts* are a function of the simulation only,

@@ -119,6 +119,12 @@ TEST(AuditorTruePositiveTest, StrictModeAbortsOnFirstViolation) {
   session.seed_impairments(9);
   session.impair_link(NodeId{0}, NodeId{1}, dup);
   EXPECT_THROW((void)session.measure(), std::runtime_error);
+
+  // The throw unwound measure() mid-drain; its probe must have left the
+  // fabric's tap list, so the session keeps working once the fault clears.
+  session.clear_impairments();
+  session.run_for(120);
+  EXPECT_TRUE(session.measure().delivered_exactly_once());
 }
 
 /// A hostile agent that returns every data packet to its sender — the

@@ -54,12 +54,12 @@ class RecordingAgent : public ProtocolAgent {
 class RecordingTap : public PacketTap {
  public:
   std::vector<std::pair<NodeId, NodeId>> hops;
-  std::vector<std::string> drops;
+  std::vector<DropReason> drops;
   void on_transmit(const Topology::Edge& e, const Packet&, Time) override {
     hops.emplace_back(e.from, e.to);
   }
-  void on_drop(NodeId, const Packet&, std::string_view reason, Time) override {
-    drops.emplace_back(reason);
+  void on_drop(NodeId, const Packet&, DropReason reason, Time) override {
+    drops.push_back(reason);
   }
 };
 
@@ -116,7 +116,7 @@ TEST(NetworkTest, TapObservesEveryHopInOrder) {
   Fixture f;
   f.build_line();
   RecordingTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   f.net->send(NodeId{0}, make_data(*f.net, NodeId{0}, NodeId{3}));
   f.sim.run();
   ASSERT_EQ(tap.hops.size(), 3u);
@@ -140,13 +140,13 @@ TEST(NetworkTest, UnknownDestinationIsDropped) {
   Fixture f;
   f.build_line();
   RecordingTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   Packet p = make_data(*f.net, NodeId{0}, NodeId{1});
   p.dst = Ipv4Addr(8, 8, 8, 8);
   f.net->send(NodeId{0}, std::move(p));
   f.sim.run();
   ASSERT_EQ(tap.drops.size(), 1u);
-  EXPECT_EQ(tap.drops[0], "unknown-destination");
+  EXPECT_EQ(tap.drops[0], DropReason::kUnknownDestination);
   EXPECT_EQ(f.net->counters().drops_no_route, 1u);
 }
 
@@ -158,11 +158,25 @@ TEST(NetworkTest, NoRouteIsDropped) {
   f.routes = std::make_unique<UnicastRouting>(f.topo);
   f.net = std::make_unique<Network>(f.sim, f.topo, *f.routes);
   RecordingTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   f.net->send(NodeId{0}, make_data(*f.net, NodeId{0}, NodeId{1}));
   f.sim.run();
   ASSERT_EQ(tap.drops.size(), 1u);
-  EXPECT_EQ(tap.drops[0], "no-route");
+  EXPECT_EQ(tap.drops[0], DropReason::kNoRoute);
+}
+
+TEST(NetworkTest, DropReasonNamesAreStable) {
+  // The run report's net.drops.<reason> counters and the tracer's
+  // drop:<reason> spans are named by these strings.
+  EXPECT_EQ(to_string(DropReason::kTtlExpired), "ttl-expired");
+  EXPECT_EQ(to_string(DropReason::kNoRoute), "no-route");
+  EXPECT_EQ(to_string(DropReason::kUnknownDestination), "unknown-destination");
+  EXPECT_EQ(to_string(DropReason::kLinkDown), "link-down");
+  EXPECT_EQ(to_string(DropReason::kLoss), "loss");
+  EXPECT_EQ(to_string(DropReason::kQueueFull), "queue-full");
+  EXPECT_EQ(to_string(DropReason::kRedEarly), "red-early");
+  EXPECT_EQ(static_cast<std::size_t>(DropReason::kRedEarly) + 1,
+            kDropReasonCount);
 }
 
 TEST(NetworkTest, TtlExpiryBoundsForwarding) {
@@ -171,7 +185,7 @@ TEST(NetworkTest, TtlExpiryBoundsForwarding) {
   Packet p = make_data(*f.net, NodeId{0}, NodeId{3});
   p.ttl = 2;  // enough for 2 hops only
   RecordingTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   f.net->send(NodeId{0}, std::move(p));
   f.sim.run();
   EXPECT_EQ(tap.hops.size(), 2u);
@@ -202,7 +216,7 @@ TEST(NetworkTest, SendDirectUsesNamedLinkOnly) {
   Fixture f;
   f.build_line();
   RecordingTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   // Direct transmission 1->2 of a packet addressed elsewhere; the next
   // agent (default) will then forward it by unicast toward node 0.
   Packet p = make_data(*f.net, NodeId{1}, NodeId{0});

@@ -3,6 +3,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <string>
 #include <unordered_set>
 
 #include "util/env.hpp"
@@ -259,33 +260,48 @@ TEST(StatsTest, PercentileNearestRank) {
 TEST(LogTest, CaptureRecordsAndRestores) {
   {
     LogCapture capture;
-    log(LogLevel::kInfo, "hello ", 42);
-    log(LogLevel::kTrace, "fine-grained");
+    HBH_LOG(LogLevel::kInfo, "hello ", 42);
+    HBH_LOG(LogLevel::kTrace, "fine-grained");
     EXPECT_TRUE(capture.contains("hello 42"));
     EXPECT_TRUE(capture.contains("fine-grained"));
     EXPECT_EQ(capture.lines().size(), 2u);
   }
   // After capture, default level (kWarn) suppresses info logs; nothing to
   // assert on stderr, but the call must not crash.
-  log(LogLevel::kInfo, "dropped");
+  HBH_LOG(LogLevel::kInfo, "dropped");
 }
 
 TEST(LogTest, LevelFiltering) {
   LogCapture capture{LogLevel::kWarn};
-  log(LogLevel::kDebug, "quiet");
-  log(LogLevel::kError, "loud");
+  HBH_LOG(LogLevel::kDebug, "quiet");
+  HBH_LOG(LogLevel::kError, "loud");
   EXPECT_FALSE(capture.contains("quiet"));
   EXPECT_TRUE(capture.contains("loud"));
 }
 
 TEST(LogTest, CountOccurrences) {
   LogCapture capture;
-  log(LogLevel::kInfo, "tick");
-  log(LogLevel::kInfo, "tick");
-  log(LogLevel::kInfo, "tock");
+  HBH_LOG(LogLevel::kInfo, "tick");
+  HBH_LOG(LogLevel::kInfo, "tick");
+  HBH_LOG(LogLevel::kInfo, "tock");
   EXPECT_EQ(capture.count("tick"), 2u);
   EXPECT_EQ(capture.count("tock"), 1u);
   EXPECT_EQ(capture.count("boom"), 0u);
+}
+
+TEST(LogTest, DisabledLevelSkipsArgumentEvaluation) {
+  LogCapture capture{LogLevel::kWarn};
+  int evaluations = 0;
+  const auto expensive = [&evaluations] {
+    ++evaluations;
+    return std::string{"formatted"};
+  };
+  HBH_LOG(LogLevel::kDebug, "quiet ", expensive());
+  EXPECT_EQ(evaluations, 0);
+  EXPECT_TRUE(capture.lines().empty());
+  HBH_LOG(LogLevel::kError, "loud ", expensive());
+  EXPECT_EQ(evaluations, 1);
+  EXPECT_TRUE(capture.contains("loud formatted"));
 }
 
 TEST(EnvTest, IntParsingAndDefaults) {
