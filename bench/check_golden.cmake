@@ -1,0 +1,29 @@
+# Runs a figure bench at a fixed small trial count and compares its stdout
+# byte for byte against a committed golden file. Any change to the event
+# order, the fabric or the protocols that moves a single figure digit fails
+# here, including one that shifts serial and parallel runs alike (which the
+# HBH_JOBS=1 vs 4 comparison cannot see). Invoked by the golden_output
+# ctest cases (see bench/CMakeLists.txt); expects -DBENCH (binary path),
+# -DGOLDEN (expected stdout) and -DOUT (where the actual stdout is written).
+# Knobs that change a figure's output are unset so a stray environment
+# cannot make the comparison pass or fail spuriously.
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env
+    --unset=HBH_SEED --unset=HBH_CSV --unset=HBH_CHANNELS
+    --unset=HBH_CHURN_ON --unset=HBH_CHURN_OFF --unset=HBH_RATE
+    --unset=HBH_PAYLOAD --unset=HBH_QUEUE_LIMIT --unset=HBH_AQM
+    --unset=HBH_AUDIT --unset=HBH_LOG_LEVEL
+    HBH_TRIALS=4 HBH_JOBS=1 ${BENCH}
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE actual
+  ERROR_VARIABLE bench_stderr)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "bench exited with ${rc}:\n${actual}\n${bench_stderr}")
+endif()
+file(WRITE "${OUT}" "${actual}")
+file(READ "${GOLDEN}" expected)
+if(NOT actual STREQUAL expected)
+  message(FATAL_ERROR
+    "${BENCH} stdout differs from ${GOLDEN}\n"
+    "--- expected\n${expected}\n--- actual (${OUT})\n${actual}")
+endif()

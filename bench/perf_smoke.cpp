@@ -56,6 +56,24 @@ MicroResult micro_event_queue(std::size_t batch, std::size_t rounds) {
           seconds_since(start)};
 }
 
+// The clustered shape of BM_EventQueueClusteredTimes: a steady ~70
+// pending events, each pop re-pushed at now + U{1..10}.
+MicroResult micro_event_queue_clustered(std::size_t ops) {
+  constexpr int kPending = 70;
+  Rng rng{4};
+  sim::EventQueue q;
+  for (int i = 0; i < kPending; ++i) {
+    q.push(static_cast<Time>(rng.uniform_int(1, 10)), [] {});
+  }
+  const auto start = Clock::now();
+  for (std::size_t i = 0; i < ops; ++i) {
+    const Time now = q.pop().when;
+    q.push(now + static_cast<Time>(rng.uniform_int(1, 10)), [] {});
+  }
+  return {"event_queue_clustered", static_cast<std::uint64_t>(ops),
+          seconds_since(start)};
+}
+
 // Soft-state churn: every other event is cancelled before draining.
 MicroResult micro_event_queue_cancel(std::size_t batch, std::size_t rounds) {
   Rng rng{2};
@@ -131,6 +149,7 @@ int main() {
   std::vector<MicroResult> micro;
   micro.push_back(micro_event_queue(10000, 200));
   micro.push_back(micro_event_queue_cancel(10000, 200));
+  micro.push_back(micro_event_queue_clustered(2000000));
   micro.push_back(micro_dijkstra(20000));
   for (const MicroResult& m : micro) {
     std::printf("%-28s %9.3f s  %12.0f items/s\n", m.name, m.seconds,

@@ -1,7 +1,6 @@
 #include "mcast/fastpath/compiled_forwarder.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <limits>
 #include <typeinfo>
@@ -85,7 +84,7 @@ bool CompiledForwarder::dispatch(Block& b, NodeId to, NodeId from,
         HBH_LOG(LogLevel::kTrace, to_string(to), " sink ", packet.describe());
         return true;
       }
-      net_->send(to, std::move(packet), this);
+      net_->send(to, std::move(packet));
       return true;
     }
     case Kind::kHbh:
@@ -99,7 +98,7 @@ bool CompiledForwarder::dispatch(Block& b, NodeId to, NodeId from,
       // Membership is consulted live — subscriptions never get compiled,
       // so churn needs no invalidation to stay exact.
       if (host->accept_data(packet)) return true;
-      net_->send(to, std::move(packet), this);
+      net_->send(to, std::move(packet));
       return true;
     }
     case Kind::kInterpreted:
@@ -111,7 +110,7 @@ bool CompiledForwarder::dispatch(Block& b, NodeId to, NodeId from,
 bool CompiledForwarder::dispatch_hbh(Block& b, NodeId to, net::Packet& packet) {
   if (packet.dst != b.addr) {
     // Transit data: plain unicast, no table (and no purge) on this path.
-    net_->send(to, std::move(packet), this);
+    net_->send(to, std::move(packet));
     return true;
   }
   ChannelEntry& e = entry(b, channel_slot(packet.channel));
@@ -137,7 +136,7 @@ bool CompiledForwarder::dispatch_hbh(Block& b, NodeId to, net::Packet& packet) {
   for (const Ipv4Addr target : e.targets) {
     net::Packet copy = packet;
     copy.dst = target;
-    net_->send(to, std::move(copy), this);
+    net_->send(to, std::move(copy));
   }
   return true;
 }
@@ -165,11 +164,11 @@ bool CompiledForwarder::dispatch_reunite(Block& b, NodeId to,
       for (const Ipv4Addr target : e.targets) {
         net::Packet copy = packet;
         copy.dst = target;
-        net_->send(to, std::move(copy), this);
+        net_->send(to, std::move(copy));
       }
     }
   }
-  net_->send(to, std::move(packet), this);  // original continues toward dst
+  net_->send(to, std::move(packet));  // original continues toward dst
   return true;
 }
 
@@ -193,7 +192,7 @@ bool CompiledForwarder::dispatch_pim(Block& b, NodeId to, NodeId from,
         net::Packet copy = packet;
         copy.data().encapsulated = false;
         copy.dst = e.group;
-        net_->send_direct(to, neighbor, std::move(copy), this);
+        net_->send_direct(to, neighbor, std::move(copy));
       }
     }
     return true;
@@ -207,7 +206,7 @@ bool CompiledForwarder::dispatch_pim(Block& b, NodeId to, NodeId from,
         if (neighbor == from) continue;
         ++stats_.fanout_copies;
         net::Packet copy = packet;
-        net_->send_direct(to, neighbor, std::move(copy), this);
+        net_->send_direct(to, neighbor, std::move(copy));
       }
     }
     return true;
@@ -219,7 +218,7 @@ bool CompiledForwarder::dispatch_pim(Block& b, NodeId to, NodeId from,
     HBH_LOG(LogLevel::kTrace, to_string(to), " sink ", packet.describe());
     return true;
   }
-  net_->send(to, std::move(packet), this);
+  net_->send(to, std::move(packet));
   return true;
 }
 
@@ -344,38 +343,6 @@ void CompiledForwarder::compile_entry(Block& b, ChannelEntry& e,
     compile_stats_.wall_ns += dt;
     pending_compile_ns_ += dt;
   }
-}
-
-void CompiledForwarder::on_arrival(NodeId to, NodeId from,
-                                   net::Packet&& packet, Time delay) {
-  assert(packet.type == net::PacketType::kData);
-  std::uint32_t idx;
-  if (free_.empty()) {
-    idx = static_cast<std::uint32_t>(pool_.size());
-    pool_.emplace_back();
-  } else {
-    idx = free_.back();
-    free_.pop_back();
-  }
-  PendingHop& h = pool_[idx];
-  h.node = to;
-  h.from = from;
-  h.packet = std::move(packet);
-  // The slim event: one queue push at the exact causal point the
-  // interpreted path would push its delivery — identical (time, seq)
-  // order — but the {this, idx} capture fits std::function's small
-  // buffer, so the per-hop heap allocation is gone.
-  net_->simulator().schedule(delay, [this, idx] { fire(idx); });
-}
-
-void CompiledForwarder::fire(std::uint32_t idx) {
-  net::Packet p = std::move(pool_[idx].packet);
-  const NodeId node = pool_[idx].node;
-  const NodeId from = pool_[idx].from;
-  free_.push_back(idx);  // recycled before delivery may park new hops
-  // Central delivery: receive counting and re-interception included, so a
-  // replayed hop is indistinguishable from a scheduled one downstream.
-  net_->deliver(node, from, std::move(p));
 }
 
 void CompiledForwarder::flush_profile() {

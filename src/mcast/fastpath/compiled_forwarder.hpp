@@ -2,32 +2,25 @@
 //
 // Interpreted data forwarding pays, per hop: a virtual ProtocolAgent::handle
 // dispatch, one or two unordered_map channel-state lookups, a lazy purge
-// walk over the soft-state table, an eligibility re-scan building a fresh
-// std::vector of targets, and — dominating everything — one heap-allocated
-// std::function per scheduled delivery (the moved-in Packet capture blows
-// past the small-buffer optimization). None of that work changes between
+// walk over the soft-state table, and an eligibility re-scan building a
+// fresh std::vector of targets. None of that work changes between
 // control-plane events: a router's forwarding decision is a pure function
 // of its tables, which mutate orders of magnitude less often than data
-// flows through them.
+// flows through them. (Scheduling the hop itself costs the same on both
+// paths: the fabric parks every in-flight copy in its own recycled pool,
+// so no hop allocates — that is Network's doing, not the fast path's.)
 //
 // CompiledForwarder exploits that. Each router's converged forwarding
 // decision is compiled once into a flat per-node block — the agent's
 // concrete kind plus, per channel, the precomputed fan-out target list and
 // a validity *horizon* — and replayed for every subsequent data hop:
 //
-//  * Replay reuses the fabric's own private transmit machinery via the
-//    ArrivalSink seam, so link-delay accounting, TTL, impairments (and
-//    their RNG draw order), drop reasons, taps, TraceHook transmit spans,
-//    and every NetworkCounters increment are shared code with the
-//    interpreted path — not a reimplementation that could drift.
-//  * Each hop still pushes exactly one event on the main queue at the
-//    exact causal point the interpreted path would (so the global
-//    (time, seq) event order is identical), but the callback captures only
-//    the forwarder pointer plus a 32-bit slot index — it fits
-//    std::function's small buffer, so the per-hop heap allocation
-//    disappears. The packet itself parks in a recycled slot pool until its
-//    event fires; no side ordering structure is needed because each event
-//    names its own slot.
+//  * Replay sends through the fabric's public send/send_direct, so
+//    link-delay accounting, TTL, impairments (and their RNG draw order),
+//    drop reasons, taps, TraceHook transmit spans, every NetworkCounters
+//    increment, and the one arrival event per hop are shared code with the
+//    interpreted path — not a reimplementation that could drift — and the
+//    global (time, seq) event order is identical.
 //  * Soft-state expiry needs no per-hop table scan: at compile time the
 //    block records the earliest instant any consulted entry changes state
 //    (t2 deaths, mark decay) as its horizon. While now < horizon the
@@ -86,8 +79,7 @@ struct FastpathStats {
 /// DataFastpath and TableMutationListener on construction and detaches on
 /// destruction; the Session owns one when HBH_FASTPATH is on.
 class CompiledForwarder final : public net::DataFastpath,
-                                public net::TableMutationListener,
-                                public net::ArrivalSink {
+                                public net::TableMutationListener {
  public:
   explicit CompiledForwarder(net::Network& net);
   ~CompiledForwarder() override;
@@ -99,11 +91,6 @@ class CompiledForwarder final : public net::DataFastpath,
 
   // TableMutationListener: a node's forwarding state changed shape.
   void on_table_mutation(NodeId node) override;
-
-  // ArrivalSink (internal): one wire copy the fabric produced on our
-  // behalf; parks it in a pool slot and schedules its slim delivery event.
-  void on_arrival(NodeId to, NodeId from, net::Packet&& packet,
-                  Time delay) override;
 
   /// Invalidates every compiled block (topology epoch bump — link state or
   /// cost changes). Blocks recompile lazily.
@@ -160,16 +147,6 @@ class CompiledForwarder final : public net::DataFastpath,
     std::vector<ChannelEntry> channels;  ///< indexed by channel slot
   };
 
-  /// One in-flight replayed wire copy, parked until its event fires. The
-  /// slim event callback captures {this, slot index} — no ordering
-  /// structure is needed because each event names its own slot, and the
-  /// free list recycles slots so steady state allocates nothing.
-  struct PendingHop {
-    NodeId node;  ///< arrival node
-    NodeId from;  ///< upstream neighbor (kNoNode for self-delivery)
-    net::Packet packet;
-  };
-
   [[nodiscard]] Block& block(NodeId n) { return blocks_[n.index()]; }
   [[nodiscard]] ChannelEntry& entry(Block& b, std::uint16_t slot) {
     if (b.channels.size() <= slot) b.channels.resize(slot + std::size_t{1});
@@ -187,19 +164,12 @@ class CompiledForwarder final : public net::DataFastpath,
   void compile_block(Block& b, NodeId n);
   void compile_entry(Block& b, ChannelEntry& e, const net::Channel& ch);
 
-  /// Releases pool slot `idx` and hands its packet to Network::deliver
-  /// (receive counting + re-interception included).
-  void fire(std::uint32_t idx);
-
   net::Network* net_;
   std::vector<Block> blocks_;
   std::uint64_t epoch_ = 0;
 
   // Channel slot registry: Block::channels is indexed by a dense slot id.
   std::unordered_map<net::Channel, std::uint16_t> slots_;
-
-  std::vector<PendingHop> pool_;      ///< in-flight replayed wire copies
-  std::vector<std::uint32_t> free_;   ///< recycled pool slots
 
   FastpathStats stats_;
   prof::PhaseStats compile_stats_;

@@ -95,11 +95,8 @@ Network::Network(sim::Simulator& simulator, const Topology& topo,
                  const routing::UnicastRouting& routes)
     : sim_(simulator), topo_(topo), routes_(&routes) {
   agents_.resize(topo.node_count());
-  addr_to_node_.reserve(topo.node_count());
   for (std::uint32_t i = 0; i < topo.node_count(); ++i) {
-    const NodeId n{i};
-    addr_to_node_.emplace(node_address(n), n);
-    attach(n, std::make_unique<ProtocolAgent>());
+    attach(NodeId{i}, std::make_unique<ProtocolAgent>());
   }
 }
 
@@ -109,8 +106,10 @@ Ipv4Addr Network::address_of(NodeId n) const {
 }
 
 NodeId Network::node_of(Ipv4Addr a) const {
-  const auto it = addr_to_node_.find(a);
-  return it == addr_to_node_.end() ? kNoNode : it->second;
+  // Inverse of node_address(): 10.x.y.1 names node index x*256 + y.
+  if (a.octet(0) != 10 || a.octet(3) != 1) return kNoNode;
+  const std::uint32_t i = (a.bits() >> 8) & 0xFFFFu;
+  return i < topo_.node_count() ? NodeId{i} : kNoNode;
 }
 
 ProtocolAgent& Network::attach(NodeId n, std::unique_ptr<ProtocolAgent> agent) {
@@ -153,7 +152,7 @@ void Network::remove_tap(PacketTap* tap) noexcept {
   taps_.erase(std::remove(taps_.begin(), taps_.end(), tap), taps_.end());
 }
 
-void Network::send(NodeId from, Packet packet, ArrivalSink* sink) {
+void Network::send(NodeId from, Packet packet) {
   assert(topo_.contains(from));
   const NodeId dst = node_of(packet.dst);
   if (!dst.valid()) {
@@ -163,17 +162,12 @@ void Network::send(NodeId from, Packet packet, ArrivalSink* sink) {
   if (dst == from) {
     // Self-addressed: deliver locally after zero delay (still through the
     // event queue so handling order stays deterministic).
-    if (sink != nullptr) {
-      sink->on_arrival(from, kNoNode, std::move(packet), 0);
-      return;
-    }
-    sim_.schedule(0, [this, from, p = std::move(packet)]() mutable {
-      deliver(from, kNoNode, std::move(p));
-    });
+    schedule_arrival(from, kNoNode, std::move(packet), 0);
     return;
   }
-  const NodeId next = routes_->next_hop(from, dst);
-  if (!next.valid()) {
+  // The route carries its outgoing edge: no topology lookup per hop.
+  const LinkId link = routes_->next_link(from, dst);
+  if (!link.valid()) {
     drop(from, packet, DropReason::kNoRoute);
     return;
   }
@@ -182,13 +176,10 @@ void Network::send(NodeId from, Packet packet, ArrivalSink* sink) {
     return;
   }
   --packet.ttl;
-  const auto link = topo_.find_link(from, next);
-  assert(link.has_value());  // routing only uses existing edges
-  transmit(*link, std::move(packet), sink);
+  transmit(link, std::move(packet));
 }
 
-void Network::send_direct(NodeId from, NodeId neighbor, Packet packet,
-                          ArrivalSink* sink) {
+void Network::send_direct(NodeId from, NodeId neighbor, Packet packet) {
   assert(topo_.contains(from) && topo_.contains(neighbor));
   const auto link = topo_.find_link(from, neighbor);
   assert(link.has_value());
@@ -197,7 +188,7 @@ void Network::send_direct(NodeId from, NodeId neighbor, Packet packet,
     return;
   }
   --packet.ttl;
-  transmit(*link, std::move(packet), sink);
+  transmit(*link, std::move(packet));
 }
 
 void Network::set_impairment(NodeId from, NodeId to,
@@ -298,7 +289,7 @@ bool Network::admit(LinkId link, const Topology::Edge& edge,
   return true;
 }
 
-void Network::transmit(LinkId link, Packet packet, ArrivalSink* sink) {
+void Network::transmit(LinkId link, Packet packet) {
   const Topology::Edge& edge = topo_.edge(link);
   if (!edge.up) {
     drop(edge.from, packet, DropReason::kLinkDown);
@@ -366,16 +357,33 @@ void Network::transmit(LinkId link, Packet packet, ArrivalSink* sink) {
     for (PacketTap* tap : taps_) tap->on_transmit(edge, copy, sim_.now());
     HBH_LOG(LogLevel::kTrace, to_string(edge.from), "->", to_string(edge.to),
             " ", copy.describe());
-    if (sink != nullptr) {
-      sink->on_arrival(to, from, std::move(copy), latency);
-    } else {
-      sim_.schedule(latency, [this, to, from, p = std::move(copy)]() mutable {
-        deliver(to, from, std::move(p));
-      });
-    }
+    schedule_arrival(to, from, std::move(copy), latency);
   };
   if (duplicate) send_copy(packet, dup_extra_delay);
   send_copy(std::move(packet), extra_delay);
+}
+
+void Network::schedule_arrival(NodeId to, NodeId from, Packet&& packet,
+                               Time delay) {
+  std::uint32_t index;
+  if (in_flight_free_.empty()) {
+    index = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(InFlight{to, from, std::move(packet)});
+  } else {
+    index = in_flight_free_.back();
+    in_flight_free_.pop_back();
+    in_flight_[index] = InFlight{to, from, std::move(packet)};
+  }
+  sim_.schedule(delay, [this, index] { arrive(index); });
+}
+
+void Network::arrive(std::uint32_t index) {
+  // deliver() takes the packet by value, so it leaves the pool before the
+  // handler runs: a send from the handler may reuse this entry or grow
+  // (and reallocate) the pool without touching the packet being handled.
+  InFlight& hop = in_flight_[index];
+  in_flight_free_.push_back(index);
+  deliver(hop.to, hop.from, std::move(hop.packet));
 }
 
 void Network::deliver(NodeId to, NodeId from, Packet packet) {

@@ -4,7 +4,10 @@
 // Packet life cycle: an agent calls send() (routed hop-by-hop toward the
 // packet's unicast destination) or send_direct() (across one named link —
 // how true multicast forwarding like PIM's RPF trees is modelled). Each
-// transmission is delayed by the directed link's propagation delay.
+// transmission is delayed by the directed link's propagation delay; until
+// it arrives, the copy waits in the fabric's recycled in-flight pool, so a
+// hop schedules one small event and allocates nothing. Routed hops take
+// their outgoing link from the route itself (UnicastRouting::next_link).
 //
 // Observation has one seam: a list of PacketTaps (add_tap/remove_tap)
 // notified at the fabric's choke points — transmit, queue admission, drop
@@ -19,7 +22,6 @@
 #include <deque>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "net/impairment.hpp"
@@ -29,10 +31,6 @@
 #include "sim/simulator.hpp"
 #include "util/ipv4.hpp"
 #include "util/rng.hpp"
-
-namespace hbh::fastpath {
-class CompiledForwarder;  // src/mcast/fastpath — friend of Network below
-}
 
 namespace hbh::net {
 
@@ -179,23 +177,6 @@ class TableMutationListener {
   virtual void on_table_mutation(NodeId node) = 0;
 };
 
-/// Internal fast-path seam: receiver of arrival notifications from the
-/// fabric's send/transmit machinery when the caller schedules deliveries
-/// itself (the compiled fast path batches them into slim events instead of
-/// per-packet move-captured lambdas). Not for general use — the interpreted
-/// path always passes nullptr.
-class ArrivalSink {
- public:
-  virtual ~ArrivalSink() = default;
-  /// One wire copy will arrive at `to` after `delay` (0 for a self-addressed
-  /// local delivery, `from` = kNoNode then); the sink owns scheduling the
-  /// delivery at now + delay, in call order. The packet is handed over by
-  /// rvalue — the fabric is done with it, so the sink can move it into its
-  /// own storage without a copy.
-  virtual void on_arrival(NodeId to, NodeId from, Packet&& packet,
-                          Time delay) = 0;
-};
-
 /// Why the fabric discarded a packet. to_string() gives the names the run
 /// report's `net.drops.<reason>` counters and the tracer's `drop:<reason>`
 /// spans carry, so they must not change.
@@ -274,7 +255,8 @@ class Network {
   /// The unicast address assigned to node `n` (10.x.y.1 by node index).
   [[nodiscard]] Ipv4Addr address_of(NodeId n) const;
 
-  /// Reverse lookup; kNoNode for unknown addresses.
+  /// Reverse lookup; kNoNode for addresses outside the 10.x.y.1 scheme or
+  /// naming a node index the topology does not have.
   [[nodiscard]] NodeId node_of(Ipv4Addr a) const;
 
   /// Installs the protocol agent for a node (replacing any previous one).
@@ -296,14 +278,12 @@ class Network {
   /// Sends `packet` from node `from` toward packet.dst along unicast
   /// routing. Decrements TTL; drops on TTL expiry or missing route.
   /// If the destination is `from` itself the packet is delivered locally
-  /// after zero delay. `sink`, when non-null, receives the arrival instead
-  /// of the fabric scheduling it (fast path only).
-  void send(NodeId from, Packet packet, ArrivalSink* sink = nullptr);
+  /// after zero delay.
+  void send(NodeId from, Packet packet);
 
   /// Transmits `packet` across the specific link from->neighbor (which must
   /// exist). Used for multicast (RPF) forwarding along installed oifs.
-  void send_direct(NodeId from, NodeId neighbor, Packet packet,
-                   ArrivalSink* sink = nullptr);
+  void send_direct(NodeId from, NodeId neighbor, Packet packet);
 
   /// Registers an observer (no ownership; at most once each). Taps are
   /// notified in registration order.
@@ -386,13 +366,21 @@ class Network {
   }
 
  private:
-  // The compiled fast path replays forwarding decisions through the same
-  // private transmit/deliver/drop machinery (via ArrivalSink), so
-  // counters, impairment streams, trace spans, and drop reasons stay
-  // byte-identical to the interpreted path.
-  friend class hbh::fastpath::CompiledForwarder;
+  /// One wire copy between its transmission and its arrival event.
+  struct InFlight {
+    NodeId to;
+    NodeId from;  ///< kNoNode for a self-addressed local delivery
+    Packet packet;
+  };
 
-  void transmit(LinkId link, Packet packet, ArrivalSink* sink = nullptr);
+  void transmit(LinkId link, Packet packet);
+  /// Parks `packet` in the in-flight pool and schedules its arrival at
+  /// `to` after `delay`. The event captures only {this, index}, which fits
+  /// std::function's small buffer, so a hop allocates nothing once the
+  /// pool is warm.
+  void schedule_arrival(NodeId to, NodeId from, Packet&& packet, Time delay);
+  /// Arrival event of pool entry `index`: frees the entry, then delivers.
+  void arrive(std::uint32_t index);
   /// Hands an arrived packet to the node's agent (counting the receive).
   void deliver(NodeId to, NodeId from, Packet packet);
   void drop(NodeId at, const Packet& packet, DropReason reason);
@@ -425,7 +413,8 @@ class Network {
   const Topology& topo_;
   const routing::UnicastRouting* routes_;
   std::vector<std::unique_ptr<ProtocolAgent>> agents_;
-  std::unordered_map<Ipv4Addr, NodeId> addr_to_node_;
+  std::vector<InFlight> in_flight_;            ///< recycled wire copies
+  std::vector<std::uint32_t> in_flight_free_;  ///< free in_flight_ entries
   std::vector<PacketTap*> taps_;
   TraceHook* trace_hook_ = nullptr;
   DataFastpath* fastpath_ = nullptr;

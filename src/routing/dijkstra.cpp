@@ -25,6 +25,7 @@ void dijkstra_into(const net::Topology& topo, NodeId root,
   out.dist.assign(n, kUnreachable);
   out.parent.assign(n, kNoNode);
   out.first_hop.assign(n, kNoNode);
+  out.first_link.assign(n, kNoLink);
   out.delay.assign(n, std::numeric_limits<Time>::infinity());
   scratch.settled.assign(n, 0);
 
@@ -60,7 +61,13 @@ void dijkstra_into(const net::Topology& topo, NodeId root,
         out.dist[v] = candidate;
         out.parent[v] = u;
         out.delay[v] = out.delay[top.node] + e.attrs.delay;
-        out.first_hop[v] = (u == root) ? e.to : out.first_hop[top.node];
+        if (u == root) {
+          out.first_hop[v] = e.to;
+          out.first_link[v] = l;
+        } else {
+          out.first_hop[v] = out.first_hop[top.node];
+          out.first_link[v] = out.first_link[top.node];
+        }
         frontier.push_back(
             QEntry{candidate, order++, static_cast<std::uint32_t>(v)});
         std::push_heap(frontier.begin(), frontier.end(), later);

@@ -34,6 +34,7 @@ struct SpfResult {
   std::vector<double> dist;      ///< metric distance root->v; kUnreachable if none
   std::vector<NodeId> parent;    ///< predecessor of v on the root->v path
   std::vector<NodeId> first_hop; ///< first node after root on the root->v path
+  std::vector<LinkId> first_link; ///< root's outgoing edge toward first_hop[v]
   std::vector<Time> delay;       ///< propagation delay root->v along the path
 
   [[nodiscard]] bool reachable(NodeId v) const {

@@ -32,6 +32,11 @@ NodeId UnicastRouting::next_hop(NodeId from, NodeId to) const {
   return ensure(from).first_hop[to.index()];
 }
 
+LinkId UnicastRouting::next_link(NodeId from, NodeId to) const {
+  assert(topo_.contains(from) && topo_.contains(to));
+  return ensure(from).first_link[to.index()];
+}
+
 double UnicastRouting::distance(NodeId from, NodeId to) const {
   assert(topo_.contains(from) && topo_.contains(to));
   return ensure(from).dist[to.index()];

@@ -41,6 +41,10 @@ class UnicastRouting {
   /// or from == to.
   [[nodiscard]] NodeId next_hop(NodeId from, NodeId to) const;
 
+  /// The directed edge from -> next_hop(from, to); kNoLink when next_hop
+  /// is kNoNode. Lets the fabric transmit without a topology lookup.
+  [[nodiscard]] LinkId next_link(NodeId from, NodeId to) const;
+
   /// Metric distance of the route from->to (kUnreachable if none).
   [[nodiscard]] double distance(NodeId from, NodeId to) const;
 

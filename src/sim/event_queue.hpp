@@ -3,22 +3,36 @@
 // Events fire in (time, sequence) order: two events scheduled for the same
 // instant execute in the order they were scheduled. That FIFO tie-break is
 // what makes every simulation in this repo bit-for-bit reproducible.
+//
+// The soft-state protocols re-send on fixed periods over integer link
+// delays, so pending events pile up on a few identical instants (most pops
+// fire at the same time as the previous one). The queue is therefore a
+// min-heap of *instants*, not of events: each heap entry names a bucket
+// holding that instant's events as a FIFO list threaded through the slot
+// pool, so a pop that leaves its bucket non-empty never touches the heap.
+// A push finds its instant's open bucket through a small direct-mapped
+// cache keyed by the time's bits. On a miss — no bucket for that instant
+// yet, or another instant took the cache line — a new bucket is opened
+// and the old one is closed: it stays in the heap and drains, but takes
+// no further events. Heap entries order by (time, bucket creation order),
+// so a closed bucket drains before any newer bucket of the same instant,
+// and every one of its events was pushed before theirs: FIFO stays exact.
+// Worst case (every pending event at a distinct time) costs one heap push
+// and pop per event, as a per-event heap would.
+//
 // Cancellation is O(1) via generation-stamped handles: an EventId packs a
-// liveness slot index and the slot's generation at push time, and firing or
-// cancelling bumps the generation, so stale heap entries (and stale ids)
-// are recognized by a single array compare. Cancelled events stay in the
-// heap and are skipped on pop — far cheaper than heap removal for the
-// soft-state timer churn the multicast protocols generate, and unlike the
-// hash-set tombstone scheme this replaces, push/cancel never allocate once
-// the slot pool is warm. Callbacks live in the slot pool rather than the
-// heap, so heap maintenance shuffles small PODs and a cancelled event's
-// captured state is released at cancel time, not when the tombstone
-// finally surfaces.
+// slot index and the slot's generation at push time, and firing or
+// cancelling bumps the generation, so stale ids are recognized by a single
+// compare. A cancelled event releases its callback at once but stays
+// linked in its bucket until the bucket's head reaches it; its slot is
+// recycled then. Once the slot and bucket pools are warm, push, pop and
+// cancel allocate nothing.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <limits>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -33,10 +47,16 @@ struct EventId {
   friend constexpr bool operator==(EventId, EventId) = default;
 };
 
-/// Min-heap of timestamped callbacks with stable same-time ordering.
+/// Heap of instants with per-instant FIFO buckets; stable same-time order.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
+
+  EventQueue() noexcept { open_.fill(kNil); }
+
+  /// Open-bucket cache lines: more distinct pending instants than this
+  /// collide and open extra buckets (still exact, just more heap work).
+  static constexpr std::size_t kOpenBuckets = 64;
 
   /// Enqueues `fn` to fire at absolute time `when`.
   EventId push(Time when, Callback fn);
@@ -62,7 +82,7 @@ class EventQueue {
   }
   /// Events ever pushed; pushes beyond slots_allocated() reused a slot.
   [[nodiscard]] std::uint64_t total_pushes() const noexcept {
-    return next_seq_ - 1;
+    return pushes_;
   }
 
   /// Time of the earliest pending event; undefined when empty().
@@ -75,47 +95,66 @@ class EventQueue {
   };
   Fired pop();
 
+  /// Pops the earliest event into `out` if one is pending at or before
+  /// `deadline`; false (and `out` untouched) otherwise. One peek-and-pop.
+  bool pop_until(Time deadline, Fired& out);
+
   /// Drops all pending events. Ids issued before the clear are dead: they
   /// can never cancel an event pushed afterwards.
   void clear();
 
  private:
-  /// Heap entries are 24-byte trivially-copyable PODs: the callback lives
-  /// in the entry's slot, not the heap, so sift-up/down moves are plain
-  /// memcpys instead of std::function move/destroy calls.
-  struct Entry {
-    Time when;
-    std::uint64_t seq;   ///< global schedule order (same-time FIFO)
-    std::uint32_t slot;  ///< slot backing this entry (liveness + callback)
-    std::uint32_t gen;   ///< slot generation at push time
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+  static constexpr std::uint32_t kNil =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// One event. A slot is linked into its bucket's FIFO through `next`
+  /// from push until its bucket's head passes it; an empty `fn` on a
+  /// linked slot marks a cancelled event.
   struct Slot {
     std::uint32_t gen = 0;  ///< bumped on fire/cancel/clear
+    std::uint32_t next = kNil;
     Callback fn;
   };
+  /// One instant's FIFO of slots (head == kNil when drained).
+  struct Bucket {
+    Time when = 0;
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+  /// Heap entry: 24-byte POD ordered by (when, order), so sifts never
+  /// touch a callback.
+  struct Instant {
+    Time when;
+    std::uint64_t order;  ///< bucket creation order (same-time FIFO)
+    std::uint32_t bucket;
+  };
+  struct Later {
+    bool operator()(const Instant& a, const Instant& b) const noexcept {
+      if (a.when != b.when) return a.when > b.when;
+      return a.order > b.order;
+    }
+  };
 
-  /// True when the entry was cancelled or already fired (its slot moved on).
-  [[nodiscard]] bool dead(const Entry& e) const noexcept {
-    return slots_[e.slot].gen != e.gen;
-  }
+  [[nodiscard]] static std::size_t cache_line(Time when) noexcept;
 
-  /// Invalidates every outstanding reference to `slot` and recycles it.
-  /// The slot's callback must already be released/moved out.
-  void retire_slot(std::uint32_t slot);
+  /// Frees cancelled slots at the front and retires drained front buckets.
+  /// Returns false when nothing live is left in the heap.
+  bool skip_dead();
 
-  /// Discards cancelled entries at the top of the heap.
-  void skip_dead();
+  /// Pops the front bucket's head event. Requires skip_dead() == true.
+  void pop_front(Fired& out);
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  /// Opens a bucket for `when`, pushes it on the heap and caches it.
+  std::uint32_t open_bucket(Time when, std::size_t line);
+
+  std::vector<Instant> heap_;  ///< min-heap of instants (std::*_heap, Later)
+  std::vector<Bucket> buckets_;
+  std::vector<std::uint32_t> free_buckets_;
+  std::array<std::uint32_t, kOpenBuckets> open_;  ///< line -> open bucket
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;  ///< slots available for reuse
-  std::uint64_t next_seq_ = 1;
+  std::uint64_t pushes_ = 0;
+  std::uint64_t next_order_ = 0;
   std::size_t live_ = 0;  ///< pending (un-fired, un-cancelled) events
 };
 

@@ -23,12 +23,14 @@ std::size_t Simulator::run(Time deadline) {
   ScopedLogTime log_time{[this] { return now_; }};
   stopped_ = false;
   std::size_t count = 0;
-  while (!queue_.empty() && !stopped_) {
-    if (queue_.next_time() > deadline) break;
-    auto [when, fn] = queue_.pop();
-    assert(when >= now_);
-    now_ = when;
-    fn();
+  EventQueue::Fired fired{};
+  while (!stopped_ && queue_.pop_until(deadline, fired)) {
+    assert(fired.when >= now_);
+    now_ = fired.when;
+    fired.fn();
+    // Destroy the callback here, not inside the next pop: its captures may
+    // re-enter the queue from their destructors.
+    fired.fn = nullptr;
     ++count;
     ++executed_;
   }

@@ -2,6 +2,7 @@
 // delays, TTL protection, taps, and agent interception hooks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -62,6 +63,8 @@ class RecordingTap : public PacketTap {
     drops.push_back(reason);
   }
 };
+
+constexpr std::uint32_t kRounds = 1000;
 
 Packet make_data(Network& net, NodeId from, NodeId to) {
   Packet p;
@@ -163,6 +166,105 @@ TEST(NetworkTest, NoRouteIsDropped) {
   f.sim.run();
   ASSERT_EQ(tap.drops.size(), 1u);
   EXPECT_EQ(tap.drops[0], DropReason::kNoRoute);
+}
+
+TEST(NetworkTest, NodeOfRejectsAddressesOutsideTheScheme) {
+  Fixture f;
+  f.build_line();  // 4 nodes: 10.0.0.1 .. 10.0.3.1
+  const std::vector<Ipv4Addr> strangers{
+      Ipv4Addr(10, 0, 0, 2),    // right prefix, wrong host octet
+      Ipv4Addr(11, 0, 0, 1),    // wrong first octet
+      Ipv4Addr(10, 0, 4, 1),    // index 4 == node_count()
+      Ipv4Addr(10, 1, 0, 1),    // index 256
+      Ipv4Addr(10, 255, 255, 1)};
+  for (const Ipv4Addr a : strangers) {
+    EXPECT_EQ(f.net->node_of(a), kNoNode) << a.to_string();
+  }
+  EXPECT_EQ(f.net->node_of(Ipv4Addr(10, 0, 3, 1)), NodeId{3});
+
+  RecordingTap tap;
+  f.net->add_tap(&tap);
+  for (const Ipv4Addr a : strangers) {
+    Packet p = make_data(*f.net, NodeId{0}, NodeId{1});
+    p.dst = a;
+    f.net->send(NodeId{0}, std::move(p));
+  }
+  f.sim.run();
+  EXPECT_EQ(tap.drops, std::vector<DropReason>(
+                           strangers.size(), DropReason::kUnknownDestination));
+  EXPECT_EQ(f.net->counters().drops_no_route, strangers.size());
+  EXPECT_EQ(f.net->counters().transmissions, 0u);
+}
+
+TEST(NetworkTest, RoutedHopOntoDownLinkDropsAsLinkDown) {
+  // Routes computed while 1->2 was up keep naming it after it fails (no
+  // invalidate(), i.e. before the IGP reconverges): the hop must reach
+  // transmit() and drop there as link-down, not vanish or misroute.
+  Fixture f;
+  f.build_line();
+  const auto link = f.topo.find_link(NodeId{1}, NodeId{2});
+  ASSERT_TRUE(link.has_value());
+  EXPECT_EQ(f.routes->next_link(NodeId{1}, NodeId{3}), *link);
+  EXPECT_EQ(f.routes->next_link(NodeId{0}, NodeId{3}),
+            *f.topo.find_link(NodeId{0}, NodeId{1}));
+  EXPECT_EQ(f.routes->next_link(NodeId{3}, NodeId{3}), kNoLink);
+  f.topo.set_link_up(*link, false);
+  RecordingTap tap;
+  f.net->add_tap(&tap);
+  f.net->send(NodeId{0}, make_data(*f.net, NodeId{0}, NodeId{3}));
+  f.sim.run();
+  ASSERT_EQ(tap.hops.size(), 1u);  // 0->1 only
+  EXPECT_EQ(tap.drops, std::vector<DropReason>{DropReason::kLinkDown});
+  EXPECT_EQ(f.net->counters().drops_link_down, 1u);
+}
+
+TEST(NetworkTest, ResendingFromDeliverKeepsExactlyOnceDelivery) {
+  // Node 1 answers each self-addressed packet by sending the next one to
+  // itself and a copy to node 3, 1,000 times, all inside deliver at t=0.
+  // The copies pile up in flight, so the fabric's in-flight pool grows
+  // (and reallocates) while it is delivering one of its own entries.
+  class Bouncer : public ProtocolAgent {
+   public:
+    std::vector<std::uint32_t> seen;
+
+   protected:
+    void deliver_local(Packet&& p, NodeId from) override {
+      (void)from;
+      const std::uint32_t seq = p.data().seq;
+      if (seq + 1 < kRounds) {
+        Packet next = p;
+        next.data().seq = seq + 1;
+        Packet far = next;
+        far.dst = net().address_of(NodeId{3});
+        net().send(self(), std::move(far));
+        net().send(self(), std::move(next));
+      }
+      // Read after the sends: they must not have touched the packet being
+      // delivered (no aliasing of a recycled or reallocated pool entry).
+      seen.push_back(p.data().seq);
+    }
+  };
+  Fixture f;
+  f.build_line();
+  auto& bouncer = static_cast<Bouncer&>(
+      f.net->attach(NodeId{1}, std::make_unique<Bouncer>()));
+  auto& sink = static_cast<RecordingAgent&>(
+      f.net->attach(NodeId{3}, std::make_unique<RecordingAgent>()));
+  f.net->send(NodeId{1}, make_data(*f.net, NodeId{1}, NodeId{1}));
+  f.sim.run();
+
+  std::vector<std::uint32_t> expected(kRounds);
+  for (std::uint32_t i = 0; i < kRounds; ++i) expected[i] = i;
+  EXPECT_EQ(bouncer.seen, expected);
+  std::vector<std::uint32_t> far;
+  for (const auto& seen : sink.received) {
+    EXPECT_DOUBLE_EQ(seen.at, 4.0);  // 2 hops x delay 2
+    far.push_back(seen.packet.data().seq);
+  }
+  std::sort(far.begin(), far.end());
+  expected.erase(expected.begin());  // seq 0 was never forwarded
+  EXPECT_EQ(far, expected);
+  EXPECT_EQ(f.net->counters().transmissions, 2u * (kRounds - 1));
 }
 
 TEST(NetworkTest, DropReasonNamesAreStable) {

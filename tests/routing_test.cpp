@@ -178,6 +178,31 @@ TEST(UnicastRoutingTest, HopByHopConsistency) {
   }
 }
 
+TEST(UnicastRoutingTest, NextLinkIsTheEdgeToNextHop) {
+  // The cached outgoing edge must be exactly the one find_link names for
+  // (from, next_hop), before and after a link failure reroutes.
+  Topology t = diamond();
+  UnicastRouting routes{t};
+  const auto check_all = [&] {
+    for (std::uint32_t a = 0; a < t.node_count(); ++a) {
+      for (std::uint32_t b = 0; b < t.node_count(); ++b) {
+        const NodeId next = routes.next_hop(NodeId{a}, NodeId{b});
+        const LinkId link = routes.next_link(NodeId{a}, NodeId{b});
+        if (!next.valid()) {
+          EXPECT_EQ(link, kNoLink) << a << "->" << b;
+          continue;
+        }
+        EXPECT_EQ(link, t.find_link(NodeId{a}, next)) << a << "->" << b;
+      }
+    }
+  };
+  check_all();
+  t.set_link_up(*t.find_link(NodeId{0}, NodeId{1}), false);
+  routes.invalidate();
+  EXPECT_EQ(routes.next_hop(NodeId{0}, NodeId{3}), NodeId{2});
+  check_all();
+}
+
 TEST(UnicastRoutingTest, SpfComputationIsLazyPerRoot) {
   const Topology t = diamond();
   const UnicastRouting routes{t};

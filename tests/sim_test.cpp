@@ -2,6 +2,10 @@
 // deadlines, periodic timers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -123,6 +127,189 @@ TEST(EventQueueTest, FifoOrderSurvivesCancelChurn) {
   for (int i = 0; i < 12; i += 3) q.cancel(ids[static_cast<size_t>(i)]);
   while (!q.empty()) q.pop().fn();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 4, 5, 7, 8, 10, 11}));
+}
+
+/// Drives EventQueue and a reference std::multimap keyed by (time, push
+/// sequence) with the same seeded operation mix and requires every pop,
+/// cancel verdict and size to agree. The mix clusters times on integers
+/// (the soft-state shape), adds distinct fractional times, keeps more
+/// distinct instants pending than the queue has open-bucket cache lines,
+/// pushes at the draining instant, cancels pending, fired and stale ids,
+/// and clears mid-run.
+class QueueDifferential {
+ public:
+  explicit QueueDifferential(std::uint64_t seed) : rng_(seed) {}
+
+  void push_at(Time when) {
+    const int tag = next_tag_++;
+    const EventId id = q_.push(when, [this, tag] { fired_.push_back(tag); });
+    ref_.emplace(std::make_pair(when, seq_++), tag);
+    issued_.push_back(Issued{id, tag, epoch_});
+  }
+
+  /// Pops one event from both and checks they agree; false when empty.
+  bool pop_one() {
+    EXPECT_EQ(q_.empty(), ref_.empty());
+    if (ref_.empty()) return false;
+    EXPECT_EQ(q_.next_time(), ref_.begin()->first.first);
+    auto fired = q_.pop();
+    const int expected = ref_.begin()->second;
+    EXPECT_EQ(fired.when, ref_.begin()->first.first);
+    ref_.erase(ref_.begin());
+    now_ = fired.when;
+    fired.fn();
+    EXPECT_EQ(fired_.back(), expected) << "pop order diverged at t=" << now_;
+    return true;
+  }
+
+  void cancel_random() {
+    if (issued_.empty()) return;
+    const Issued& pick = issued_[pick_index(issued_.size())];
+    bool pending = false;
+    if (pick.epoch == epoch_) {
+      for (auto it = ref_.begin(); it != ref_.end(); ++it) {
+        if (it->second == pick.tag) {
+          ref_.erase(it);
+          pending = true;
+          break;
+        }
+      }
+    }
+    EXPECT_EQ(q_.cancel(pick.id), pending) << "tag " << pick.tag;
+  }
+
+  void clear() {
+    q_.clear();
+    ref_.clear();
+    ++epoch_;
+    now_ = 0;  // reuse the same instants (and slots) after the clear
+  }
+
+  void run(int steps) {
+    std::uniform_int_distribution<int> op(0, 99);
+    std::uniform_int_distribution<int> delay(0, 10);
+    std::uniform_real_distribution<Time> frac(0.0, 50.0);
+    for (int i = 0; i < steps; ++i) {
+      const int r = op(rng_);
+      if (r < 35) {
+        push_at(now_ + delay(rng_));  // integer-clustered
+      } else if (r < 45) {
+        push_at(now_ + frac(rng_));  // distinct fractional
+      } else if (r < 47) {
+        // A burst of far more distinct pending instants than cache lines,
+        // straddling integer instants that already hold a bucket: their
+        // buckets get closed and, on the next push there, reopened.
+        for (int k = 0; k < 3 * static_cast<int>(EventQueue::kOpenBuckets);
+             ++k) {
+          push_at(now_ + 1 + k * 0.125);
+        }
+      } else if (r < 85) {
+        if (pop_one() && op(rng_) < 30) {
+          push_at(now_);  // delay-0 push while its instant drains
+        }
+      } else if (r < 97) {
+        cancel_random();
+      } else if (r < 98) {
+        clear();
+      }
+      ASSERT_EQ(q_.size(), ref_.size());
+    }
+    while (pop_one()) {
+    }
+  }
+
+  [[nodiscard]] std::size_t fired() const { return fired_.size(); }
+
+ private:
+  struct Issued {
+    EventId id;
+    int tag;
+    int epoch;  ///< clear() count at push time
+  };
+
+  std::size_t pick_index(std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng_);
+  }
+
+  EventQueue q_;
+  std::multimap<std::pair<Time, std::uint64_t>, int> ref_;
+  std::vector<Issued> issued_;
+  std::vector<int> fired_;
+  std::mt19937_64 rng_;
+  Time now_ = 0;
+  std::uint64_t seq_ = 0;
+  int next_tag_ = 0;
+  int epoch_ = 0;
+};
+
+TEST(EventQueueTest, MatchesReferenceOrderUnderRandomMix) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    QueueDifferential d{seed};
+    d.run(20000);
+    EXPECT_GT(d.fired(), 5000u) << "seed " << seed;
+  }
+}
+
+TEST(EventQueueTest, ReopenedInstantKeepsPushOrder) {
+  // Instant 1.0 opens a bucket; a thousand distinct instants then take
+  // every cache line, closing it; later pushes at 1.0 open a second
+  // bucket, which must drain after the first.
+  EventQueue q;
+  std::vector<int> fired;
+  q.push(1.0, [&] { fired.push_back(0); });
+  for (int k = 0; k < 1000; ++k) q.push(2.0 + k * 0.001, [] {});
+  q.push(1.0, [&] { fired.push_back(1); });
+  q.push(1.0, [&] { fired.push_back(2); });
+  for (int i = 0; i < 3; ++i) q.pop().fn();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueueTest, NegativeZeroIsTheSameInstantAsZero) {
+  EventQueue q;
+  std::vector<int> fired;
+  q.push(0.0, [&] { fired.push_back(0); });
+  q.push(-0.0, [&] { fired.push_back(1); });
+  q.push(0.0, [&] { fired.push_back(2); });
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueueTest, SlotPoolPlateausUnderSteadyChurn) {
+  // ~70 pending events, each pop re-pushed at now + U{1..10} (the figure
+  // benches' shape): once warm, the pool stops growing.
+  EventQueue q;
+  std::mt19937_64 rng{7};
+  std::uniform_int_distribution<int> delay(1, 10);
+  for (int i = 0; i < 70; ++i) q.push(delay(rng), [] {});
+  std::size_t warm = 0;
+  for (int step = 1; step <= 200000; ++step) {
+    const Time now = q.pop().when;
+    q.push(now + delay(rng), [] {});
+    if (step == 20000) warm = q.slots_allocated();
+  }
+  EXPECT_EQ(q.size(), 70u);
+  EXPECT_EQ(q.slots_allocated(), warm);
+  EXPECT_LE(warm, 71u);
+
+  // With a cancel-and-rearm every seventh step, a cancelled event's slot
+  // is recycled only when its bucket drains past it, so the pool also
+  // holds the cancelled events still ahead of the clock: bounded by the
+  // pending shape, not by the 200k pushes.
+  std::vector<EventId> ids;
+  Time now = 0;
+  while (!q.empty()) now = q.pop().when;
+  for (int i = 0; i < 70; ++i) ids.push_back(q.push(now + delay(rng), [] {}));
+  for (int step = 1; step <= 200000; ++step) {
+    now = q.pop().when;
+    ids[static_cast<std::size_t>(step) % ids.size()] =
+        q.push(now + delay(rng), [] {});
+    if (step % 7 == 0) {
+      EventId& victim = ids[static_cast<std::size_t>(step / 7) % ids.size()];
+      if (q.cancel(victim)) victim = q.push(now + delay(rng), [] {});
+    }
+  }
+  EXPECT_EQ(q.size(), 70u);
+  EXPECT_LE(q.slots_allocated(), 2u * 70u);
 }
 
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
