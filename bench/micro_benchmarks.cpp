@@ -52,6 +52,26 @@ void BM_EventQueueClusteredTimes(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueClusteredTimes);
 
+// The same clustered loop with the hot path's event type: a trivially
+// copyable sim::Task, as the fabric's arrivals and the periodic timers
+// push, instead of a boxed closure.
+void BM_EventQueueTaskClustered(benchmark::State& state) {
+  constexpr int kPending = 70;
+  const sim::Task noop{[](void*, std::uint64_t) {}, nullptr, 0};
+  Rng rng{4};
+  sim::EventQueue q;
+  for (int i = 0; i < kPending; ++i) {
+    q.push(static_cast<Time>(rng.uniform_int(1, 10)), noop);
+  }
+  for (auto _ : state) {
+    const Time now = q.pop().when;
+    benchmark::DoNotOptimize(now);
+    q.push(now + static_cast<Time>(rng.uniform_int(1, 10)), noop);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueTaskClustered);
+
 // The compiled-vs-interpreted data-plane pair: identical converged HBH
 // sessions on the ISP topology, per-iteration burst of emissions drained
 // through the simulator; only SessionConfig::fastpath differs. items/s is

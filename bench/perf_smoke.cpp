@@ -74,6 +74,25 @@ MicroResult micro_event_queue_clustered(std::size_t ops) {
           seconds_since(start)};
 }
 
+// The clustered loop with trivially copyable sim::Task events (the shape
+// of BM_EventQueueTaskClustered): the hot path's event type.
+MicroResult micro_event_queue_task_clustered(std::size_t ops) {
+  constexpr int kPending = 70;
+  const sim::Task noop{[](void*, std::uint64_t) {}, nullptr, 0};
+  Rng rng{4};
+  sim::EventQueue q;
+  for (int i = 0; i < kPending; ++i) {
+    q.push(static_cast<Time>(rng.uniform_int(1, 10)), noop);
+  }
+  const auto start = Clock::now();
+  for (std::size_t i = 0; i < ops; ++i) {
+    const Time now = q.pop().when;
+    q.push(now + static_cast<Time>(rng.uniform_int(1, 10)), noop);
+  }
+  return {"event_queue_task_clustered", static_cast<std::uint64_t>(ops),
+          seconds_since(start)};
+}
+
 // Soft-state churn: every other event is cancelled before draining.
 MicroResult micro_event_queue_cancel(std::size_t batch, std::size_t rounds) {
   Rng rng{2};
@@ -150,6 +169,7 @@ int main() {
   micro.push_back(micro_event_queue(10000, 200));
   micro.push_back(micro_event_queue_cancel(10000, 200));
   micro.push_back(micro_event_queue_clustered(2000000));
+  micro.push_back(micro_event_queue_task_clustered(2000000));
   micro.push_back(micro_dijkstra(20000));
   for (const MicroResult& m : micro) {
     std::printf("%-28s %9.3f s  %12.0f items/s\n", m.name, m.seconds,

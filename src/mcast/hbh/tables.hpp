@@ -9,9 +9,9 @@
 // router is addressed to the router itself.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mcast/common/soft_state.hpp"
@@ -32,27 +32,35 @@ struct Mct {
 ///  * stale           — receives data copies only (no tree messages)
 ///  * marked (+fresh) — receives tree messages only (no data copies)
 /// Dead entries (t2 expired) are purged lazily by purge().
+///
+/// The entries live in one vector sorted by target: iteration is in
+/// ascending address order (deterministic, as the std::map it replaced),
+/// lookups binary-search, and purge() and the target lists are single
+/// contiguous scans. Inserts shift the tail, which for the handful of
+/// entries a branching router keeps is cheaper than a tree node.
 class Mft {
  public:
-  using Map = std::map<Ipv4Addr, SoftEntry>;  // ordered => deterministic
+  using Entries = std::vector<std::pair<Ipv4Addr, SoftEntry>>;
 
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
   [[nodiscard]] bool contains(Ipv4Addr target) const {
-    return entries_.contains(target);
+    return find(target) != nullptr;
   }
   [[nodiscard]] SoftEntry* find(Ipv4Addr target);
   [[nodiscard]] const SoftEntry* find(Ipv4Addr target) const;
 
-  /// Inserts a fresh entry (or fully refreshes an existing one).
+  /// Inserts a fresh entry (or fully refreshes an existing one). The
+  /// reference is valid until the next insert, erase or purge.
   SoftEntry& upsert(Ipv4Addr target, const McastConfig& cfg, Time now);
 
   /// Removes entries whose t2 expired. Returns number removed; when
-  /// `evicted` is non-null (tracing) the removed targets are appended.
+  /// `evicted` is non-null (tracing) the removed targets are appended in
+  /// ascending order.
   std::size_t purge(Time now, std::vector<Ipv4Addr>* evicted = nullptr);
 
-  void erase(Ipv4Addr target) { entries_.erase(target); }
+  void erase(Ipv4Addr target);
 
   /// Targets eligible for data copies: not marked, not dead (stale is OK).
   [[nodiscard]] std::vector<Ipv4Addr> data_targets(Time now) const;
@@ -64,13 +72,14 @@ class Mft {
   /// All live (non-dead) targets — the node list a fusion message carries.
   [[nodiscard]] std::vector<Ipv4Addr> live_targets(Time now) const;
 
-  [[nodiscard]] const Map& raw() const noexcept { return entries_; }
-  Map& raw() noexcept { return entries_; }
+  /// The sorted entries. Mutators must keep the targets as they are.
+  [[nodiscard]] const Entries& raw() const noexcept { return entries_; }
+  Entries& raw() noexcept { return entries_; }
 
   [[nodiscard]] std::string to_string(Time now) const;
 
  private:
-  Map entries_;
+  Entries entries_;  ///< sorted by target, unique
 };
 
 /// Per-channel HBH router state: exactly one of MCT / MFT is active for an

@@ -113,7 +113,7 @@ void PimRouter::replicate(const net::Channel& ch, const Packet& packet,
   if (it == groups_.end()) return;
   for (const auto& [neighbor, entry] : it->second.oifs) {
     if (neighbor == skip || entry.dead(now())) continue;
-    net().send_direct(self(), neighbor, packet);
+    net().send_direct(self(), neighbor, Packet{packet});  // one copy per oif
   }
 }
 

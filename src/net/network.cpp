@@ -152,7 +152,7 @@ void Network::remove_tap(PacketTap* tap) noexcept {
   taps_.erase(std::remove(taps_.begin(), taps_.end(), tap), taps_.end());
 }
 
-void Network::send(NodeId from, Packet packet) {
+void Network::send(NodeId from, Packet&& packet) {
   assert(topo_.contains(from));
   const NodeId dst = node_of(packet.dst);
   if (!dst.valid()) {
@@ -179,7 +179,7 @@ void Network::send(NodeId from, Packet packet) {
   transmit(link, std::move(packet));
 }
 
-void Network::send_direct(NodeId from, NodeId neighbor, Packet packet) {
+void Network::send_direct(NodeId from, NodeId neighbor, Packet&& packet) {
   assert(topo_.contains(from) && topo_.contains(neighbor));
   const auto link = topo_.find_link(from, neighbor);
   assert(link.has_value());
@@ -289,7 +289,7 @@ bool Network::admit(LinkId link, const Topology::Edge& edge,
   return true;
 }
 
-void Network::transmit(LinkId link, Packet packet) {
+void Network::transmit(LinkId link, Packet&& packet) {
   const Topology::Edge& edge = topo_.edge(link);
   if (!edge.up) {
     drop(edge.from, packet, DropReason::kLinkDown);
@@ -338,7 +338,7 @@ void Network::transmit(LinkId link, Packet packet) {
   // honestly include duplicated traffic.
   const NodeId to = edge.to;
   const NodeId from = edge.from;
-  const auto send_copy = [&](Packet copy, Time added) {
+  const auto send_copy = [&](Packet&& copy, Time added) {
     // Arrival = queue wait + serialization + propagation (+ impairment
     // jitter); queue_delay is 0 on uncapacitated links.
     const Time latency = queue_delay + edge.attrs.delay + added;
@@ -359,7 +359,8 @@ void Network::transmit(LinkId link, Packet packet) {
             " ", copy.describe());
     schedule_arrival(to, from, std::move(copy), latency);
   };
-  if (duplicate) send_copy(packet, dup_extra_delay);
+  // The duplicate is copied explicitly before the original moves on.
+  if (duplicate) send_copy(Packet{packet}, dup_extra_delay);
   send_copy(std::move(packet), extra_delay);
 }
 
@@ -368,22 +369,26 @@ void Network::schedule_arrival(NodeId to, NodeId from, Packet&& packet,
   std::uint32_t index;
   if (in_flight_free_.empty()) {
     index = static_cast<std::uint32_t>(in_flight_.size());
-    in_flight_.push_back(InFlight{to, from, std::move(packet)});
+    in_flight_.emplace_back();
   } else {
     index = in_flight_free_.back();
     in_flight_free_.pop_back();
-    in_flight_[index] = InFlight{to, from, std::move(packet)};
   }
-  sim_.schedule(delay, [this, index] { arrive(index); });
+  InFlight& hop = in_flight_[index];
+  hop.to = to;
+  hop.from = from;
+  hop.packet = std::move(packet);
+  sim_.schedule(delay, sim::Task{&Network::arrive, this, index});
 }
 
-void Network::arrive(std::uint32_t index) {
+void Network::arrive(void* network, std::uint64_t index) {
   // deliver() takes the packet by value, so it leaves the pool before the
   // handler runs: a send from the handler may reuse this entry or grow
   // (and reallocate) the pool without touching the packet being handled.
-  InFlight& hop = in_flight_[index];
-  in_flight_free_.push_back(index);
-  deliver(hop.to, hop.from, std::move(hop.packet));
+  auto& self = *static_cast<Network*>(network);
+  InFlight& hop = self.in_flight_[index];
+  self.in_flight_free_.push_back(static_cast<std::uint32_t>(index));
+  self.deliver(hop.to, hop.from, std::move(hop.packet));
 }
 
 void Network::deliver(NodeId to, NodeId from, Packet packet) {

@@ -6,8 +6,11 @@
 // how true multicast forwarding like PIM's RPF trees is modelled). Each
 // transmission is delayed by the directed link's propagation delay; until
 // it arrives, the copy waits in the fabric's recycled in-flight pool, so a
-// hop schedules one small event and allocates nothing. Routed hops take
-// their outgoing link from the route itself (UnicastRouting::next_link).
+// hop schedules one trivially copyable sim::Task and allocates nothing.
+// Packets travel as rvalues from send() into that pool: a hop moves its
+// packet, and the only copies are the explicit ones a fan-out or an
+// injected duplicate makes. Routed hops take their outgoing link from the
+// route itself (UnicastRouting::next_link).
 //
 // Observation has one seam: a list of PacketTaps (add_tap/remove_tap)
 // notified at the fabric's choke points — transmit, queue admission, drop
@@ -251,6 +254,9 @@ class Network {
   /// The topology and routing must outlive the network.
   Network(sim::Simulator& simulator, const Topology& topo,
           const routing::UnicastRouting& routes);
+  // Pending arrival events hold the network's address.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   /// The unicast address assigned to node `n` (10.x.y.1 by node index).
   [[nodiscard]] Ipv4Addr address_of(NodeId n) const;
@@ -279,11 +285,11 @@ class Network {
   /// routing. Decrements TTL; drops on TTL expiry or missing route.
   /// If the destination is `from` itself the packet is delivered locally
   /// after zero delay.
-  void send(NodeId from, Packet packet);
+  void send(NodeId from, Packet&& packet);
 
   /// Transmits `packet` across the specific link from->neighbor (which must
   /// exist). Used for multicast (RPF) forwarding along installed oifs.
-  void send_direct(NodeId from, NodeId neighbor, Packet packet);
+  void send_direct(NodeId from, NodeId neighbor, Packet&& packet);
 
   /// Registers an observer (no ownership; at most once each). Taps are
   /// notified in registration order.
@@ -373,14 +379,13 @@ class Network {
     Packet packet;
   };
 
-  void transmit(LinkId link, Packet packet);
+  void transmit(LinkId link, Packet&& packet);
   /// Parks `packet` in the in-flight pool and schedules its arrival at
-  /// `to` after `delay`. The event captures only {this, index}, which fits
-  /// std::function's small buffer, so a hop allocates nothing once the
-  /// pool is warm.
+  /// `to` after `delay` as the Task {arrive, this, index}, so a hop
+  /// allocates nothing once the pool is warm.
   void schedule_arrival(NodeId to, NodeId from, Packet&& packet, Time delay);
   /// Arrival event of pool entry `index`: frees the entry, then delivers.
-  void arrive(std::uint32_t index);
+  static void arrive(void* network, std::uint64_t index);
   /// Hands an arrived packet to the node's agent (counting the receive).
   void deliver(NodeId to, NodeId from, Packet packet);
   void drop(NodeId at, const Packet& packet, DropReason reason);

@@ -43,8 +43,8 @@ std::uint32_t EventQueue::open_bucket(Time when, std::size_t line) {
   return b;
 }
 
-EventId EventQueue::push(Time when, Callback fn) {
-  assert(fn != nullptr);
+EventId EventQueue::push(Time when, Task task) {
+  assert(task.run != nullptr);
   when += 0.0;  // -0.0 and +0.0 are one instant: give them one cache line
   std::uint32_t slot;
   if (free_slots_.empty()) {
@@ -55,7 +55,7 @@ EventId EventQueue::push(Time when, Callback fn) {
     free_slots_.pop_back();
   }
   Slot& s = slots_[slot];
-  s.fn = std::move(fn);
+  s.task = task;
   s.next = kNil;
 
   const std::size_t line = cache_line(when);
@@ -73,6 +73,27 @@ EventId EventQueue::push(Time when, Callback fn) {
   return EventId{encode(slot, s.gen)};
 }
 
+EventId EventQueue::push(Time when, Callback fn) {
+  assert(fn != nullptr);
+  std::uint32_t box;
+  if (free_boxes_.empty()) {
+    box = static_cast<std::uint32_t>(boxes_.size());
+    boxes_.push_back(std::move(fn));
+  } else {
+    box = free_boxes_.back();
+    free_boxes_.pop_back();
+    boxes_[box].swap(fn);
+  }
+  return push(when, Task{&run_closure, this, box});
+}
+
+void EventQueue::run_closure(void* queue, std::uint64_t /*box*/) {
+  // Out of the queue before it runs, destroyed when it returns.
+  Callback fn;
+  fn.swap(static_cast<EventQueue*>(queue)->popped_);
+  fn();
+}
+
 bool EventQueue::cancel(EventId id) {
   const std::uint64_t hi = id.v >> 32;
   if (hi == 0 || hi > slots_.size()) return false;
@@ -80,14 +101,18 @@ bool EventQueue::cancel(EventId id) {
   // A generation match means the event is still pending: firing or
   // cancelling bumps the slot's generation exactly once.
   if (s.gen != static_cast<std::uint32_t>(id.v)) return false;
-  // The slot stays linked in its bucket (empty fn = cancelled) until the
-  // bucket's head reaches it. Release the callback only after the books
-  // balance: its captured state may have a destructor that re-enters the
-  // queue.
-  Callback released = std::move(s.fn);
-  s.fn = nullptr;
+  // The slot stays linked in its bucket (null task = cancelled) until the
+  // bucket's head reaches it.
+  const Task task = s.task;
+  s.task = Task{};
   ++s.gen;
   --live_;
+  if (task.run == &run_closure) {
+    // Release the closure only after the books balance: its captured
+    // state may have a destructor that re-enters the queue.
+    const Callback released = std::exchange(boxes_[task.arg], nullptr);
+    free_boxes_.push_back(static_cast<std::uint32_t>(task.arg));
+  }
   return true;
 }
 
@@ -95,7 +120,7 @@ bool EventQueue::skip_dead() {
   while (!heap_.empty()) {
     const std::uint32_t b = heap_.front().bucket;
     Bucket& bucket = buckets_[b];
-    while (bucket.head != kNil && !slots_[bucket.head].fn) {
+    while (bucket.head != kNil && slots_[bucket.head].task.run == nullptr) {
       const std::uint32_t s = bucket.head;
       bucket.head = slots_[s].next;
       free_slots_.push_back(s);
@@ -117,15 +142,23 @@ void EventQueue::pop_front(Fired& out) {
   Bucket& bucket = buckets_[heap_.front().bucket];
   const std::uint32_t s = bucket.head;
   Slot& slot = slots_[s];
-  // The callback moves straight out of the slot; the heap holds none.
   out.when = bucket.when;
-  out.fn = std::move(slot.fn);
-  slot.fn = nullptr;
+  out.fn = slot.task;
+  slot.task = Task{};
   ++slot.gen;
   bucket.head = slot.next;
   if (bucket.head == kNil) bucket.tail = kNil;
   free_slots_.push_back(s);
   --live_;
+  if (out.fn.run == &run_closure) {
+    // The closure leaves its box now, so the box is free for pushes the
+    // closure makes while it runs. A previously popped closure that never
+    // ran is destroyed last: its destructor may re-enter the queue.
+    const auto box = static_cast<std::uint32_t>(out.fn.arg);
+    popped_.swap(boxes_[box]);
+    const Callback stale = std::exchange(boxes_[box], nullptr);
+    free_boxes_.push_back(box);
+  }
 }
 
 Time EventQueue::next_time() const {
@@ -162,10 +195,15 @@ void EventQueue::clear() {
   free_slots_.reserve(slots_.size());
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
     ++slots_[slot].gen;
-    slots_[slot].fn = nullptr;
+    slots_[slot].task = Task{};
     free_slots_.push_back(slot);
   }
   live_ = 0;
+  // Every boxed closure belongs to a pending event. Release them only
+  // after the books balance, as cancel() does.
+  const std::vector<Callback> released = std::move(boxes_);
+  boxes_.clear();
+  free_boxes_.clear();
 }
 
 }  // namespace hbh::sim

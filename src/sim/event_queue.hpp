@@ -4,6 +4,17 @@
 // instant execute in the order they were scheduled. That FIFO tie-break is
 // what makes every simulation in this repo bit-for-bit reproducible.
 //
+// An event is a Task: a plain function pointer plus a context pointer and
+// one word of argument. It is trivially copyable, so pushing, popping and
+// firing one costs no allocation, no indirect manager call and no
+// destructor. The hot schedulers (the fabric's packet arrivals, periodic
+// timers) push Tasks directly. std::function closures remain for the rare
+// one-off events: push(Time, Callback) parks the closure in a recycled
+// box pool and pushes a Task naming its box. The closure leaves its box
+// when it is popped and runs from there, so pushes it makes while it
+// runs may grow the pool; cancel() and clear() release a boxed closure
+// at once.
+//
 // The soft-state protocols re-send on fixed periods over integer link
 // delays, so pending events pile up on a few identical instants (most pops
 // fire at the same time as the previous one). The queue is therefore a
@@ -23,16 +34,16 @@
 // Cancellation is O(1) via generation-stamped handles: an EventId packs a
 // slot index and the slot's generation at push time, and firing or
 // cancelling bumps the generation, so stale ids are recognized by a single
-// compare. A cancelled event releases its callback at once but stays
-// linked in its bucket until the bucket's head reaches it; its slot is
-// recycled then. Once the slot and bucket pools are warm, push, pop and
-// cancel allocate nothing.
+// compare. A cancelled event stays linked in its bucket until the bucket's
+// head reaches it; its slot is recycled then. Once the slot, bucket and
+// box pools are warm, push, pop and cancel allocate nothing.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -47,18 +58,35 @@ struct EventId {
   friend constexpr bool operator==(EventId, EventId) = default;
 };
 
+/// One scheduled action: `run(ctx, arg)`. Schedulers pass a static thunk
+/// that casts `ctx` back to their object (e.g. {thunk, this, index}).
+struct Task {
+  void (*run)(void* ctx, std::uint64_t arg) = nullptr;
+  void* ctx = nullptr;
+  std::uint64_t arg = 0;
+
+  void operator()() const { run(ctx, arg); }
+};
+static_assert(std::is_trivially_copyable_v<Task>);
+
 /// Heap of instants with per-instant FIFO buckets; stable same-time order.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
   EventQueue() noexcept { open_.fill(kNil); }
+  // Boxed closures' Tasks point back at their queue.
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   /// Open-bucket cache lines: more distinct pending instants than this
   /// collide and open extra buckets (still exact, just more heap work).
   static constexpr std::size_t kOpenBuckets = 64;
 
-  /// Enqueues `fn` to fire at absolute time `when`.
+  /// Enqueues `task` to fire at absolute time `when`.
+  EventId push(Time when, Task task);
+
+  /// Enqueues the closure `fn` (boxed until it fires or is cancelled).
   EventId push(Time when, Callback fn);
 
   /// Cancels a pending event. Returns false if it already fired, was
@@ -72,7 +100,7 @@ class EventQueue {
   // A healthy steady state allocates a pool once and then recycles it:
   // total_pushes() grows without bound while slots_allocated() plateaus.
 
-  /// Callback slots ever allocated (the warm pool size).
+  /// Event slots ever allocated (the warm pool size).
   [[nodiscard]] std::size_t slots_allocated() const noexcept {
     return slots_.size();
   }
@@ -88,10 +116,13 @@ class EventQueue {
   /// Time of the earliest pending event; undefined when empty().
   [[nodiscard]] Time next_time() const;
 
-  /// Pops and returns the earliest event. Requires !empty().
+  /// Pops and returns the earliest event. Requires !empty(). A popped
+  /// closure's Task runs the closure most recently popped: run it (or
+  /// drop it) before the next pop; a closure popped and never run is
+  /// destroyed by the next closure pop or with the queue.
   struct Fired {
     Time when;
-    Callback fn;
+    Task fn;
   };
   Fired pop();
 
@@ -108,12 +139,12 @@ class EventQueue {
       std::numeric_limits<std::uint32_t>::max();
 
   /// One event. A slot is linked into its bucket's FIFO through `next`
-  /// from push until its bucket's head passes it; an empty `fn` on a
+  /// from push until its bucket's head passes it; a null `task.run` on a
   /// linked slot marks a cancelled event.
   struct Slot {
     std::uint32_t gen = 0;  ///< bumped on fire/cancel/clear
     std::uint32_t next = kNil;
-    Callback fn;
+    Task task;
   };
   /// One instant's FIFO of slots (head == kNil when drained).
   struct Bucket {
@@ -122,7 +153,7 @@ class EventQueue {
     std::uint32_t tail = kNil;
   };
   /// Heap entry: 24-byte POD ordered by (when, order), so sifts never
-  /// touch a callback.
+  /// touch a slot.
   struct Instant {
     Time when;
     std::uint64_t order;  ///< bucket creation order (same-time FIFO)
@@ -136,6 +167,10 @@ class EventQueue {
   };
 
   [[nodiscard]] static std::size_t cache_line(Time when) noexcept;
+
+  /// The Task of a boxed closure ({run_closure, queue, box index} while
+  /// pending): runs the closure pop_front() took out of its box.
+  static void run_closure(void* queue, std::uint64_t box);
 
   /// Frees cancelled slots at the front and retires drained front buckets.
   /// Returns false when nothing live is left in the heap.
@@ -153,6 +188,9 @@ class EventQueue {
   std::array<std::uint32_t, kOpenBuckets> open_;  ///< line -> open bucket
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;  ///< slots available for reuse
+  std::vector<Callback> boxes_;  ///< closures of pending closure events
+  std::vector<std::uint32_t> free_boxes_;
+  Callback popped_;  ///< the last popped closure, until its Task runs
   std::uint64_t pushes_ = 0;
   std::uint64_t next_order_ = 0;
   std::size_t live_ = 0;  ///< pending (un-fired, un-cancelled) events

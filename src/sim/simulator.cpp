@@ -7,6 +7,11 @@
 
 namespace hbh::sim {
 
+EventId Simulator::schedule(Time delay, Task task) {
+  assert(delay >= 0);
+  return track(queue_.push(now_ + delay, task));
+}
+
 EventId Simulator::schedule(Time delay, Callback fn) {
   assert(delay >= 0);
   return track(queue_.push(now_ + delay, std::move(fn)));
@@ -28,9 +33,6 @@ std::size_t Simulator::run(Time deadline) {
     assert(fired.when >= now_);
     now_ = fired.when;
     fired.fn();
-    // Destroy the callback here, not inside the next pop: its captures may
-    // re-enter the queue from their destructors.
-    fired.fn = nullptr;
     ++count;
     ++executed_;
   }
@@ -63,7 +65,7 @@ PeriodicTimer::PeriodicTimer(Simulator& simulator, Time period,
 void PeriodicTimer::start(Time initial_delay) {
   stop();
   const Time first = initial_delay < 0 ? period_ : initial_delay;
-  pending_ = sim_.schedule(first, [this] { fire(); });
+  pending_ = sim_.schedule(first, Task{&fire_thunk, this, 0});
 }
 
 void PeriodicTimer::stop() {
@@ -74,7 +76,7 @@ void PeriodicTimer::stop() {
 }
 
 void PeriodicTimer::fire() {
-  pending_ = sim_.schedule(period_, [this] { fire(); });
+  pending_ = sim_.schedule(period_, Task{&fire_thunk, this, 0});
   fn_();
 }
 

@@ -1,8 +1,10 @@
 // The discrete-event simulator driving every experiment.
 //
-// This replaces ns-2 for the paper's purposes: schedule callbacks at
-// absolute or relative times, run until quiescence or a deadline, and query
-// the current virtual time. Single-threaded and deterministic.
+// This replaces ns-2 for the paper's purposes: schedule events at absolute
+// or relative times, run until quiescence or a deadline, and query the
+// current virtual time. Single-threaded and deterministic. Hot schedulers
+// pass a trivially copyable sim::Task ({thunk, object, argument}); one-off
+// events may pass a std::function closure, which the queue boxes.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +23,11 @@ class Simulator {
   /// Current virtual time.
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Schedules `fn` to run `delay` time units from now. Requires delay >= 0.
+  /// Schedules `task` to run `delay` time units from now. Requires
+  /// delay >= 0.
+  EventId schedule(Time delay, Task task);
+
+  /// Schedules the closure `fn` `delay` time units from now.
   EventId schedule(Time delay, Callback fn);
 
   /// Schedules `fn` at absolute time `when`. Requires when >= now().
@@ -90,6 +96,9 @@ class PeriodicTimer {
 
  private:
   void fire();
+  static void fire_thunk(void* timer, std::uint64_t /*unused*/) {
+    static_cast<PeriodicTimer*>(timer)->fire();
+  }
 
   Simulator& sim_;
   Time period_;

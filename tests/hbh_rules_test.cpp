@@ -6,7 +6,11 @@
 // each Appendix-A rule from full-protocol dynamics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <random>
+#include <vector>
 
 #include "mcast/hbh/router.hpp"
 #include "net/network.hpp"
@@ -347,6 +351,106 @@ TEST_F(HbhRules, TransitDataIsPlainForwarded) {
   deliver_to_b(std::move(data));
   EXPECT_EQ(tap.count_from(NodeId{1}, net::PacketType::kData), 1u);
   EXPECT_EQ(tap.sent.back().packet.dst, r_addr);
+}
+
+/// Replays one seeded mix of upsert / refresh / mark / erase / purge on the
+/// flat Mft and on a std::map reference of the same entries, requiring the
+/// same lookups, iteration order, eviction order and target lists after
+/// every step. Targets come from a small pool so inserts land at the
+/// front, the middle and the back of the table, and every mutation hits
+/// existing entries as often as absent ones.
+void replay_against_map(std::uint64_t seed) {
+  const McastConfig cfg{};
+  Mft flat;
+  std::map<Ipv4Addr, SoftEntry> ref;
+  std::mt19937_64 rng{seed};
+  std::uniform_int_distribution<std::uint32_t> pick(0, 47);
+  std::uniform_int_distribution<int> op(0, 99);
+  std::uniform_real_distribution<Time> tick(0.0, 3.0);
+  const auto same_entry = [](const SoftEntry& a, const SoftEntry& b) {
+    return a.t1_expiry() == b.t1_expiry() && a.t2_expiry() == b.t2_expiry() &&
+           a.mark_expiry() == b.mark_expiry() && a.marked() == b.marked();
+  };
+  const auto select = [&](Time now, auto keep) {
+    std::vector<Ipv4Addr> out;
+    for (const auto& [target, entry] : ref) {
+      if (keep(entry, now)) out.push_back(target);
+    }
+    return out;
+  };
+  Time now = 0;
+  for (int step = 0; step < 4000; ++step) {
+    now += tick(rng);
+    // Scattered addresses: pool index i maps to a non-monotone address.
+    const Ipv4Addr target{0x0A000001u + ((pick(rng) * 2654435761u) >> 20)};
+    const int r = op(rng);
+    if (r < 40) {
+      flat.upsert(target, cfg, now);
+      auto [it, inserted] = ref.try_emplace(target, cfg, now);
+      if (!inserted) it->second.refresh(cfg, now);
+    } else if (r < 55) {
+      SoftEntry* got = flat.find(target);
+      const auto it = ref.find(target);
+      ASSERT_EQ(got != nullptr, it != ref.end()) << "step " << step;
+      if (got != nullptr) {
+        got->refresh(cfg, now);
+        it->second.refresh(cfg, now);
+      }
+    } else if (r < 67) {
+      SoftEntry* got = flat.find(target);
+      const auto it = ref.find(target);
+      ASSERT_EQ(got != nullptr, it != ref.end()) << "step " << step;
+      if (got != nullptr) {
+        got->mark(cfg, now);
+        it->second.mark(cfg, now);
+      }
+    } else if (r < 75) {
+      flat.erase(target);
+      ref.erase(target);
+    } else if (r < 93) {
+      std::vector<Ipv4Addr> evicted;
+      const std::size_t removed = flat.purge(now, &evicted);
+      std::vector<Ipv4Addr> expected;
+      for (auto it = ref.begin(); it != ref.end();) {
+        if (it->second.dead(now)) {
+          expected.push_back(it->first);
+          it = ref.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      ASSERT_EQ(evicted, expected) << "step " << step;
+      ASSERT_EQ(removed, expected.size());
+    } else {
+      now += 10 * tick(rng);  // let entries go stale, lose marks, or die
+    }
+
+    ASSERT_EQ(flat.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(flat.contains(target), ref.contains(target));
+    auto want = ref.begin();
+    for (const auto& [got_target, got_entry] : flat.raw()) {
+      ASSERT_EQ(got_target, want->first) << "step " << step;
+      ASSERT_TRUE(same_entry(got_entry, want->second)) << "step " << step;
+      ++want;
+    }
+    ASSERT_EQ(flat.data_targets(now),
+              select(now, [](const SoftEntry& e, Time t) {
+                return !e.dead(t) && !e.marked(t);
+              }));
+    ASSERT_EQ(flat.tree_targets(now),
+              select(now, [](const SoftEntry& e, Time t) {
+                return !e.dead(t) && !e.stale(t);
+              }));
+    ASSERT_EQ(flat.live_targets(now),
+              select(now, [](const SoftEntry& e, Time t) { return !e.dead(t); }));
+  }
+}
+
+TEST(MftTable, MatchesOrderedMapUnderRandomMix) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    replay_against_map(seed);
+  }
 }
 
 }  // namespace

@@ -183,6 +183,42 @@ TEST(NetworkImpairmentTest, DuplicationDeliversTwiceAndCounts) {
   EXPECT_EQ(f.net.agent(NodeId{1}).stats().rx(PacketType::kData), 2u);
 }
 
+/// Keeps every packet that reaches its node.
+struct Recorder : ProtocolAgent {
+  std::vector<Packet> got;
+  void handle(Packet&& packet, NodeId /*from*/) override {
+    got.push_back(std::move(packet));
+  }
+};
+
+TEST(NetworkImpairmentTest, DuplicatedFusionCopiesBothCarryTheFullList) {
+  // The duplicate is copied before the original moves into the in-flight
+  // pool: a copy taken after the move would arrive with an empty list.
+  NetFixture f;
+  auto& sink = static_cast<Recorder&>(
+      f.net.attach(NodeId{1}, std::make_unique<Recorder>()));
+  Impairment imp;
+  imp.duplicate = 1.0;
+  f.net.set_impairment(NodeId{0}, NodeId{1}, imp);
+  const std::vector<Ipv4Addr> receivers{
+      Ipv4Addr{10, 0, 7, 1}, Ipv4Addr{10, 0, 3, 1}, Ipv4Addr{10, 0, 9, 1}};
+  Packet fusion;
+  fusion.src = f.net.address_of(NodeId{0});
+  fusion.dst = f.net.address_of(NodeId{1});
+  fusion.type = PacketType::kFusion;
+  fusion.payload = FusionPayload{receivers, f.net.address_of(NodeId{0})};
+  f.net.send(NodeId{0}, std::move(fusion));
+  f.sim.run_for(10);
+  EXPECT_EQ(f.net.counters().duplicates_injected, 1u);
+  ASSERT_EQ(sink.got.size(), 2u);
+  for (const Packet& p : sink.got) {
+    ASSERT_EQ(p.type, PacketType::kFusion);
+    EXPECT_EQ(p.fusion().receivers, receivers);
+    EXPECT_EQ(p.fusion().origin, f.net.address_of(NodeId{0}));
+    EXPECT_EQ(p.ttl, kDefaultTtl - 1);
+  }
+}
+
 TEST(NetworkImpairmentTest, ReorderDelaysTheCopy) {
   NetFixture f;
   Impairment imp;

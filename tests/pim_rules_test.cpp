@@ -162,6 +162,52 @@ TEST_F(PimRules, RpDecapsulatesRegisterTunnel) {
   EXPECT_TRUE(group_addressed_seen);
 }
 
+TEST_F(PimRules, RpFanOutDeliversIntactCopiesOnEveryOif) {
+  // n0 is the RP with an oif toward each of its three neighbours; the
+  // decapsulated packet is copied once per oif before each copy moves
+  // into the fabric, so every neighbour receives the whole packet.
+  for (const NodeId host : {sh, rh, r2h}) {
+    net->send(host, pim_join(net->address_of(NodeId{0}), host));
+  }
+  sim.run_for(10);
+  ASSERT_EQ(routers[0]->oifs(ch).size(), 3u);
+
+  struct Arrivals : net::PacketTap {
+    std::vector<net::Packet> from_rp;
+    void on_deliver(NodeId to, NodeId from, const net::Packet& p,
+                    Time) override {
+      (void)to;
+      if (from == NodeId{0}) from_rp.push_back(p);
+    }
+  } arrivals;
+  net->add_tap(&arrivals);
+  net::Packet reg;
+  reg.src = net->address_of(sh);
+  reg.dst = net->address_of(NodeId{0});
+  reg.channel = ch;
+  reg.type = net::PacketType::kData;
+  reg.payload = net::DataPayload{7, 5, sim.now(), /*encapsulated=*/true, 9};
+  net->send(sh, std::move(reg));
+  sim.run_for(10);
+  net->remove_tap(&arrivals);
+
+  ASSERT_EQ(arrivals.from_rp.size(), 3u);
+  for (const net::Packet& p : arrivals.from_rp) {
+    EXPECT_EQ(p.src, net->address_of(sh));
+    EXPECT_EQ(p.dst, ch.group.addr());
+    EXPECT_EQ(p.channel, ch);
+    ASSERT_EQ(p.type, net::PacketType::kData);
+    EXPECT_EQ(p.data().probe, 7u);
+    EXPECT_EQ(p.data().seq, 5u);
+    EXPECT_EQ(p.data().pad, 9u);
+    EXPECT_FALSE(p.data().encapsulated);
+  }
+  // Each neighbour passes its copy on to its host.
+  for (const NodeId host : {sh, rh, r2h}) {
+    EXPECT_EQ(net->agent(host).stats().rx(net::PacketType::kData), 1u);
+  }
+}
+
 TEST_F(PimRules, EncapsulatedTransitStaysUnicast) {
   // A register packet passing a non-RP router is plain unicast transit.
   net::Packet reg;

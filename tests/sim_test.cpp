@@ -141,8 +141,12 @@ class QueueDifferential {
   explicit QueueDifferential(std::uint64_t seed) : rng_(seed) {}
 
   void push_at(Time when) {
+    // Even tags push a Task, odd tags a boxed closure.
     const int tag = next_tag_++;
-    const EventId id = q_.push(when, [this, tag] { fired_.push_back(tag); });
+    const EventId id =
+        tag % 2 == 0
+            ? q_.push(when, Task{&record, this, static_cast<std::uint64_t>(tag)})
+            : q_.push(when, [this, tag] { fired_.push_back(tag); });
     ref_.emplace(std::make_pair(when, seq_++), tag);
     issued_.push_back(Issued{id, tag, epoch_});
   }
@@ -227,6 +231,11 @@ class QueueDifferential {
     int epoch;  ///< clear() count at push time
   };
 
+  static void record(void* self, std::uint64_t tag) {
+    static_cast<QueueDifferential*>(self)->fired_.push_back(
+        static_cast<int>(tag));
+  }
+
   std::size_t pick_index(std::size_t n) {
     return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng_);
   }
@@ -310,6 +319,106 @@ TEST(EventQueueTest, SlotPoolPlateausUnderSteadyChurn) {
   }
   EXPECT_EQ(q.size(), 70u);
   EXPECT_LE(q.slots_allocated(), 2u * 70u);
+}
+
+/// Counts destructions of a live (not moved-from) closure capture: a
+/// capture copied instead of moved would count twice.
+struct DtorProbe {
+  int* destroyed;
+  explicit DtorProbe(int* counter) : destroyed(counter) {}
+  DtorProbe(const DtorProbe&) = default;
+  DtorProbe(DtorProbe&& other) noexcept
+      : destroyed(std::exchange(other.destroyed, nullptr)) {}
+  DtorProbe& operator=(const DtorProbe&) = delete;
+  DtorProbe& operator=(DtorProbe&&) = delete;
+  ~DtorProbe() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+};
+
+TEST(EventQueueTest, BoxedClosureIsDestroyedExactlyOnce) {
+  int fired = 0;
+  int destroyed = 0;
+  {
+    EventQueue q;
+    q.push(1.0, [probe = DtorProbe{&destroyed}] {});
+    const auto f = q.pop();
+    EXPECT_EQ(destroyed, 0);  // popped, not yet run
+    f.fn();
+    EXPECT_EQ(destroyed, 1);  // destroyed when it returns
+  }
+  EXPECT_EQ(destroyed, 1);
+
+  destroyed = 0;
+  {
+    EventQueue q;
+    const EventId id = q.push(1.0, [probe = DtorProbe{&destroyed}] {});
+    q.push(2.0, [&fired] { ++fired; });
+    EXPECT_TRUE(q.cancel(id));
+    EXPECT_EQ(destroyed, 1);  // released by the cancel
+    EXPECT_FALSE(q.cancel(id));
+    while (!q.empty()) q.pop().fn();
+  }
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(fired, 1);
+
+  destroyed = 0;
+  {
+    EventQueue q;
+    q.push(1.0, [probe = DtorProbe{&destroyed}] {});
+    q.push(1.0, [probe = DtorProbe{&destroyed}] {});
+    q.push(3.0, Task{[](void*, std::uint64_t) {}, nullptr, 0});
+    q.clear();
+    EXPECT_EQ(destroyed, 2);  // dropped by the clear
+    q.push(1.0, [&fired] { ++fired; });
+    q.pop().fn();
+  }
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_EQ(fired, 2);
+
+  // Popped and never run: destroyed by the next closure pop.
+  destroyed = 0;
+  {
+    EventQueue q;
+    q.push(1.0, [probe = DtorProbe{&destroyed}] {});
+    q.push(2.0, [probe = DtorProbe{&destroyed}] {});
+    (void)q.pop();
+    EXPECT_EQ(destroyed, 0);
+    (void)q.pop();
+    EXPECT_EQ(destroyed, 1);
+  }
+  EXPECT_EQ(destroyed, 2);  // the last one with the queue
+}
+
+TEST(EventQueueTest, ClosureCanGrowTheBoxPoolWhileItRuns) {
+  // The running closure is small enough to live inside its std::function,
+  // so had it run in place in the box pool, the pushes below would move it
+  // mid-call (the sanitizer build reports the read of `fired` after them).
+  Simulator sim;
+  int fired = 0;
+  sim.schedule(1.0, [&sim, &fired] {
+    for (int i = 0; i < 1000; ++i) sim.schedule(1.0, [&fired] { ++fired; });
+    fired += 1000;
+  });
+  sim.run();
+  EXPECT_EQ(fired, 2000);
+  EXPECT_EQ(sim.executed(), 1001u);
+}
+
+TEST(EventQueueTest, StaleIdNeverReleasesAReusedBox) {
+  EventQueue q;
+  int first = 0;
+  int second = 0;
+  const EventId stale = q.push(1.0, [&first] { ++first; });
+  q.pop().fn();
+  // Reuses the freed slot and the freed box.
+  const EventId live = q.push(2.0, [&second] { ++second; });
+  EXPECT_NE(stale, live);
+  EXPECT_FALSE(q.cancel(stale));
+  EXPECT_EQ(q.size(), 1u);
+  q.pop().fn();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
 }
 
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
@@ -465,6 +574,28 @@ TEST(PeriodicTimerTest, RestartResetsPhase) {
   sim.run(20.0);
   ASSERT_FALSE(stamps.empty());
   EXPECT_DOUBLE_EQ(stamps[0], 14.0);
+}
+
+TEST(PeriodicTimerTest, RestartFromInsideItsOwnCallback) {
+  // The second firing stops and re-arms the timer with a 3-unit phase: the
+  // period event it had just scheduled must not fire, and the new phase
+  // continues every period from there.
+  Simulator sim;
+  std::vector<Time> stamps;
+  PeriodicTimer* self = nullptr;
+  PeriodicTimer timer{sim, 10.0, [&] {
+                        stamps.push_back(sim.now());
+                        if (stamps.size() == 2) {
+                          self->stop();
+                          self->start(3.0);
+                        }
+                      }};
+  self = &timer;
+  timer.start();
+  sim.run(45.0);
+  EXPECT_EQ(stamps, (std::vector<Time>{10.0, 20.0, 23.0, 33.0, 43.0}));
+  EXPECT_TRUE(timer.running());
+  EXPECT_EQ(sim.pending(), 1u);
 }
 
 }  // namespace
