@@ -202,19 +202,21 @@ SweepResult run_sweep(const ExperimentSpec& spec, Protocol protocol,
 
 std::vector<SweepResult> run_all(const ExperimentSpec& spec,
                                  std::size_t jobs) {
-  // One flat (protocol, group size, trial) grid behind a single pool:
-  // workers drain cells across protocol boundaries, so a slow protocol's
-  // tail overlaps the next protocol's trials instead of serializing.
+  // One pool task per (group size, trial) cell: it runs the four protocols
+  // back to back in paper order, so their sessions share the cell's route
+  // table (the routing memo is per thread), and writes each result into
+  // the protocol-major grid slot run_sweep would have used.
   const auto& protocols = all_protocols();
   const std::size_t trials = spec.trials;
   const std::size_t per_protocol = spec.group_sizes.size() * trials;
   std::vector<TrialResult> grid(protocols.size() * per_protocol);
   TrialPool pool{jobs};
-  pool.run(grid.size(), [&](std::size_t i) {
-    const Protocol protocol = protocols[i / per_protocol];
-    const std::size_t cell = i % per_protocol;
-    grid[i] = run_trial(spec, protocol, spec.group_sizes[cell / trials],
-                        cell % trials);
+  pool.run(per_protocol, [&](std::size_t cell) {
+    for (std::size_t p = 0; p < protocols.size(); ++p) {
+      grid[p * per_protocol + cell] =
+          run_trial(spec, protocols[p], spec.group_sizes[cell / trials],
+                    cell % trials);
+    }
   });
   std::vector<SweepResult> out;
   out.reserve(protocols.size());

@@ -85,8 +85,9 @@ struct SweepResult {
 [[nodiscard]] SweepResult run_sweep(const ExperimentSpec& spec,
                                     Protocol protocol, std::size_t jobs = 0);
 
-/// Runs all four protocols, fanning the whole (protocol, group size,
-/// trial) cell grid across one worker pool (same determinism contract and
+/// Runs all four protocols, fanning the (group size, trial) cells across
+/// one worker pool; each cell's four paired trials run back to back on one
+/// worker and share its unicast route table (same determinism contract and
 /// `jobs` semantics as run_sweep).
 [[nodiscard]] std::vector<SweepResult> run_all(const ExperimentSpec& spec,
                                                std::size_t jobs = 0);

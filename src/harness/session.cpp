@@ -218,13 +218,10 @@ metrics::Registry& Session::enable_telemetry(Time sample_period) {
                                          : 0);
   });
 
-  // Unicast routing: how hard the lazy SPF cache is working (each
-  // invalidate() bumps the epoch; each miss runs one Dijkstra).
+  // Unicast routing: Dijkstra runs this session's routing performed (one
+  // per root for each table it built; 0 when it shared a paired trial's).
   reg.bind_gauge("routing.spf_computations", [this] {
     return static_cast<double>(routes_->spf_computations());
-  });
-  reg.bind_gauge("routing.topology_epoch", [this] {
-    return static_cast<double>(routes_->topology_epoch());
   });
 
   // Protocol state (the paper's §2.1 router-state story, over time).
@@ -659,11 +656,11 @@ void Session::schedule_churn(ChannelId id, const ChurnPlan& plan) {
 }
 
 void Session::recompute_routes() {
-  // Instantaneous IGP reconvergence: bump the routing epoch so every SPF
-  // recomputes lazily on its next query. Fault-heavy runs (FaultPlan,
-  // ablation_resilience) thus pay per queried root, not O(N·Dijkstra) per
-  // link-down/up/crash event. The Network keeps pointing at the same
-  // UnicastRouting instance, so no rebind is needed.
+  // Instantaneous IGP reconvergence: drop the route table so the next
+  // query rebuilds it from the changed topology. The old table may still
+  // serve another session over the unchanged topology, so it is released,
+  // never edited. The Network keeps pointing at the same UnicastRouting
+  // instance, so no rebind is needed.
   routes_->invalidate();
   // Topology/route epochs invalidate every compiled forwarding block.
   // Compiled blocks hold no route-derived data today (next_hop and link

@@ -59,9 +59,10 @@ void HbhRouter::handle(Packet&& packet, NodeId from) {
   }
 }
 
-void HbhRouter::purge(const net::Channel& ch, const net::TraceContext& ctx) {
+HbhRouter::ChannelMap::iterator HbhRouter::purge(
+    const net::Channel& ch, const net::TraceContext& ctx) {
   const auto it = channels_.find(ch);
-  if (it == channels_.end()) return;
+  if (it == channels_.end()) return it;
   ChannelState& st = it->second;
   const bool tracing = ctx.active() && net().trace_hook() != nullptr;
   if (st.mct && st.mct->state.dead(now())) {
@@ -80,7 +81,11 @@ void HbhRouter::purge(const net::Channel& ch, const net::TraceContext& ctx) {
       note_structural(ch, 1);
     }
   }
-  if (!st.mct && !st.mft) channels_.erase(it);
+  if (!st.mct && !st.mft) {
+    channels_.erase(it);
+    return channels_.end();
+  }
+  return it;
 }
 
 void HbhRouter::send_self_join(const net::Channel& ch,
@@ -114,12 +119,11 @@ void HbhRouter::on_join(Packet&& packet) {
   const net::Channel ch = packet.channel;
   const net::JoinPayload join = packet.join();
   if (packet.dst == self_addr()) return;  // joins are addressed to sources
-  purge(ch, packet.trace);
+  const auto it = purge(ch, packet.trace);
 
   // §3.1: the first join must reach the source so it can start emitting
   // tree(S, R) messages along the shortest path S -> R.
   if (!join.first) {
-    const auto it = channels_.find(ch);
     if (it != channels_.end() && it->second.mft) {
       Mft& mft = *it->second.mft;
       if (SoftEntry* entry = mft.find(join.receiver); entry != nullptr) {
@@ -142,7 +146,7 @@ void HbhRouter::on_join(Packet&& packet) {
 void HbhRouter::on_tree(Packet&& packet) {
   const net::Channel ch = packet.channel;
   const net::TreePayload tree = packet.tree();
-  purge(ch, packet.trace);
+  const auto it = purge(ch, packet.trace);
 
   // Stale-straggler rejection: a reordered tree from an earlier refresh
   // wave must not refresh, install, or re-anchor state that a newer wave
@@ -158,8 +162,6 @@ void HbhRouter::on_tree(Packet&& packet) {
     }
     seen_it->second = tree.wave;
   }
-
-  auto it = channels_.find(ch);
 
   // T1: a tree message addressed to this branching node is consumed and
   // re-expanded: one tree(S, Ri) per non-stale MFT entry, with ourselves
@@ -263,8 +265,7 @@ void HbhRouter::on_fusion(Packet&& packet) {
     forward(std::move(packet));
     return;
   }
-  purge(ch, packet.trace);
-  const auto it = channels_.find(ch);
+  const auto it = purge(ch, packet.trace);
   if (it == channels_.end() || !it->second.mft) {
     // Fusion addressed to a node that lost its MFT (raced with expiry);
     // nothing to mark — drop. The emitter will retry on the next tree.
@@ -282,8 +283,7 @@ void HbhRouter::on_data(Packet&& packet) {
     forward(std::move(packet));  // transit data: plain unicast
     return;
   }
-  purge(ch, packet.trace);
-  const auto it = channels_.find(ch);
+  const auto it = purge(ch, packet.trace);
   if (it == channels_.end() || !it->second.mft) {
     HBH_LOG(LogLevel::kDebug, to_string(self()),
             " data addressed to non-branching node, dropped");

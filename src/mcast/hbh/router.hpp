@@ -107,10 +107,14 @@ class HbhRouter : public net::ProtocolAgent {
   void send_fusion(const net::Channel& ch, Mft& mft, Ipv4Addr upstream,
                    const net::TraceContext& ctx);
 
+  using ChannelMap = std::unordered_map<net::Channel, ChannelState>;
+
   /// Lazily purges dead state for the channel; drops empty tables. Evicted
   /// targets are traced as "evict" instants under `ctx` (the span of the
-  /// packet whose arrival triggered the purge).
-  void purge(const net::Channel& ch, const net::TraceContext& ctx = {});
+  /// packet whose arrival triggered the purge). Returns the channel's
+  /// entry, or channels_.end() when it has none left.
+  ChannelMap::iterator purge(const net::Channel& ch,
+                             const net::TraceContext& ctx = {});
 
   /// Records `n` structural changes against `ch` (and the global total),
   /// and flags the mutation to the fabric for fast-path invalidation.
@@ -124,7 +128,7 @@ class HbhRouter : public net::ProtocolAgent {
   [[nodiscard]] Time now() const { return simulator().now(); }
 
   McastConfig config_;
-  std::unordered_map<net::Channel, ChannelState> channels_;
+  ChannelMap channels_;
   std::unordered_map<net::Channel, TreePacer> pacers_;
   std::unordered_map<net::Channel, ReplicationGuard> guards_;
   std::unordered_map<net::Channel, std::uint32_t> last_wave_;

@@ -139,32 +139,50 @@ void PimRouter::on_data(Packet&& packet, NodeId from) {
   net::ProtocolAgent::handle(std::move(packet), from);
 }
 
+double rp_delay_score(const routing::UnicastRouting& routes,
+                      const std::vector<NodeId>& routers, NodeId source,
+                      NodeId candidate) {
+  const auto& topo = routes.topology();
+  // The route other -> candidate, as candidate, ..., other: the parent
+  // chain of other's SPF walked back from the candidate. Reused across
+  // pairs and calls, so a warm search allocates nothing.
+  thread_local std::vector<NodeId> chain;
+  double score = routes.path_delay(source, candidate);  // register leg
+  double down = 0;
+  std::size_t n = 0;
+  for (const NodeId other : routers) {
+    if (other == candidate) continue;
+    // Shared-tree data path to `other`: the reverse of other->rp,
+    // traversed in the data direction. Delays are summed from other's
+    // end, hop by hop, as along path(other, candidate).
+    Time delay = 0;
+    if (routes.reachable(other, candidate)) {
+      const routing::SpfResult& tree = routes.spf(other);
+      chain.clear();
+      for (NodeId at = candidate; at.valid(); at = tree.parent[at.index()]) {
+        chain.push_back(at);
+      }
+      for (std::size_t i = chain.size() - 1; i > 0; --i) {
+        const auto link = topo.find_link(chain[i - 1], chain[i]);
+        assert(link.has_value());
+        delay += topo.edge(*link).attrs.delay;
+      }
+    }
+    down += delay;
+    ++n;
+  }
+  if (n != 0) score += down / static_cast<double>(n);
+  return score;
+}
+
 NodeId choose_rp_delay_aware(const routing::UnicastRouting& routes,
                              const std::vector<NodeId>& routers,
                              NodeId source) {
   assert(!routers.empty());
-  const auto& topo = routes.topology();
   NodeId best = kNoNode;
   double best_score = routing::kUnreachable;
   for (const NodeId candidate : routers) {
-    double score = routes.path_delay(source, candidate);  // register leg
-    double down = 0;
-    std::size_t n = 0;
-    for (const NodeId other : routers) {
-      if (other == candidate) continue;
-      // Shared-tree data path to `other`: the reverse of other->rp,
-      // traversed in the data direction.
-      const auto up = routes.path(other, candidate);
-      Time delay = 0;
-      for (std::size_t i = 0; i + 1 < up.size(); ++i) {
-        const auto link = topo.find_link(up[i + 1], up[i]);
-        assert(link.has_value());
-        delay += topo.edge(*link).attrs.delay;
-      }
-      down += delay;
-      ++n;
-    }
-    if (n != 0) score += down / static_cast<double>(n);
+    const double score = rp_delay_score(routes, routers, source, candidate);
     if (score < best_score) {
       best_score = score;
       best = candidate;

@@ -88,4 +88,10 @@ class PimRouter : public net::ProtocolAgent {
     const routing::UnicastRouting& routes, const std::vector<NodeId>& routers,
     NodeId source);
 
+/// The expected receiver delay choose_rp_delay_aware minimizes, for one
+/// candidate RP.
+[[nodiscard]] double rp_delay_score(const routing::UnicastRouting& routes,
+                                    const std::vector<NodeId>& routers,
+                                    NodeId source, NodeId candidate);
+
 }  // namespace hbh::mcast::pim

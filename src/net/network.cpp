@@ -47,10 +47,6 @@ void ProtocolAgent::handle(Packet&& packet, NodeId from) {
   }
 }
 
-sim::Simulator& ProtocolAgent::simulator() const noexcept {
-  return net_->simulator();
-}
-
 void ProtocolAgent::forward(Packet&& packet) {
   net_->send(node_, std::move(packet));
 }

@@ -430,6 +430,12 @@ class Network {
   std::uint64_t aqm_seed_ = kDefaultAqmSeed;
 };
 
+// Defined here, once Network is complete, so that every now() in a protocol
+// handler inlines to a load instead of a call into network.cpp.
+inline sim::Simulator& ProtocolAgent::simulator() const noexcept {
+  return net_->simulator();
+}
+
 /// Computes the 10.x.y.1 address for a node index (stable scheme used by
 /// Network; exposed for tests and pretty-printing).
 [[nodiscard]] Ipv4Addr node_address(NodeId n);

@@ -1,6 +1,7 @@
 #include "routing/unicast.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <utility>
@@ -9,42 +10,90 @@
 
 namespace hbh::routing {
 
-UnicastRouting::UnicastRouting(const net::Topology& topo, MetricFn metric)
-    : topo_(topo),
-      metric_(std::move(metric)),
-      per_root_(topo.node_count()),
-      computed_epoch_(topo.node_count(), 0) {}
+namespace {
 
-const SpfResult& UnicastRouting::ensure(NodeId root) const {
-  assert(topo_.contains(root));
-  std::uint64_t& stamp = computed_epoch_[root.index()];
-  if (stamp != epoch_) {
-    HBH_PHASE("spf");
-    dijkstra_into(topo_, root, metric_, per_root_[root.index()], scratch_);
-    stamp = epoch_;
-    ++spf_runs_;
+/// What a table depends on: every field Dijkstra reads from one edge.
+/// Costs and delays compare by bit pattern, so "identical" is exact.
+struct EdgeKey {
+  NodeId from;
+  NodeId to;
+  std::uint64_t cost_bits;
+  std::uint64_t delay_bits;
+  bool up;
+
+  explicit EdgeKey(const net::Topology::Edge& e)
+      : from(e.from),
+        to(e.to),
+        cost_bits(std::bit_cast<std::uint64_t>(e.attrs.cost)),
+        delay_bits(std::bit_cast<std::uint64_t>(e.attrs.delay)),
+        up(e.up) {}
+
+  bool operator==(const EdgeKey&) const = default;
+};
+
+/// This thread's last link-cost table and the topology it was built from.
+/// One entry is enough: a cell's paired trials build their sessions back
+/// to back on one thread.
+struct Memo {
+  std::size_t nodes = 0;
+  std::vector<EdgeKey> edges;
+  std::shared_ptr<const UnicastRouting::Table> table;
+
+  [[nodiscard]] bool matches(const net::Topology& topo) const {
+    if (!table || nodes != topo.node_count() ||
+        edges.size() != topo.link_count()) {
+      return false;
+    }
+    for (std::uint32_t i = 0; i < edges.size(); ++i) {
+      if (!(edges[i] == EdgeKey{topo.edge(LinkId{i})})) return false;
+    }
+    return true;
   }
-  return per_root_[root.index()];
+
+  void store(const net::Topology& topo,
+             std::shared_ptr<const UnicastRouting::Table> built) {
+    nodes = topo.node_count();
+    edges.clear();
+    for (std::uint32_t i = 0; i < topo.link_count(); ++i) {
+      edges.emplace_back(topo.edge(LinkId{i}));
+    }
+    table = std::move(built);
+  }
+};
+
+thread_local Memo t_memo;
+
+std::shared_ptr<const UnicastRouting::Table> build_table(
+    const net::Topology& topo, const MetricFn& metric) {
+  HBH_PHASE("spf");
+  auto table = std::make_shared<UnicastRouting::Table>(topo.node_count());
+  DijkstraScratch scratch;
+  for (std::uint32_t r = 0; r < table->size(); ++r) {
+    dijkstra_into(topo, NodeId{r}, metric, (*table)[r], scratch);
+  }
+  return table;
 }
 
-NodeId UnicastRouting::next_hop(NodeId from, NodeId to) const {
-  assert(topo_.contains(from) && topo_.contains(to));
-  return ensure(from).first_hop[to.index()];
+}  // namespace
+
+UnicastRouting::UnicastRouting(const net::Topology& topo) : topo_(topo) {
+  rebuild();
 }
 
-LinkId UnicastRouting::next_link(NodeId from, NodeId to) const {
-  assert(topo_.contains(from) && topo_.contains(to));
-  return ensure(from).first_link[to.index()];
+UnicastRouting::UnicastRouting(const net::Topology& topo, MetricFn metric)
+    : topo_(topo), metric_(std::move(metric)) {
+  assert(metric_);
+  rebuild();
 }
 
-double UnicastRouting::distance(NodeId from, NodeId to) const {
-  assert(topo_.contains(from) && topo_.contains(to));
-  return ensure(from).dist[to.index()];
-}
-
-Time UnicastRouting::path_delay(NodeId from, NodeId to) const {
-  assert(topo_.contains(from) && topo_.contains(to));
-  return ensure(from).delay[to.index()];
+void UnicastRouting::rebuild() const {
+  if (!metric_ && t_memo.matches(topo_)) {
+    table_ = t_memo.table;
+    return;
+  }
+  table_ = build_table(topo_, metric_ ? metric_ : cost_metric());
+  spf_runs_ += topo_.node_count();
+  if (!metric_) t_memo.store(topo_, table_);
 }
 
 std::vector<NodeId> UnicastRouting::path(NodeId from, NodeId to) const {
@@ -56,18 +105,13 @@ std::vector<NodeId> UnicastRouting::path(NodeId from, NodeId to) const {
   }
   if (!reachable(from, to)) return nodes;  // empty: no route
   // Walk the parent chain of the SPF rooted at `from` back from `to`.
-  const SpfResult& tree = ensure(from);
+  const SpfResult& tree = spf(from);
   for (NodeId at = to; at.valid(); at = tree.parent[at.index()]) {
     nodes.push_back(at);
   }
   std::reverse(nodes.begin(), nodes.end());
   assert(nodes.front() == from && nodes.back() == to);
   return nodes;
-}
-
-const SpfResult& UnicastRouting::spf(NodeId root) const {
-  assert(topo_.contains(root));
-  return ensure(root);
 }
 
 AsymmetryReport measure_asymmetry(const UnicastRouting& routes) {

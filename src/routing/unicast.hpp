@@ -7,21 +7,32 @@
 // destination is the suffix of ours), so recursive-unicast forwarding
 // behaves exactly as it would on real routers.
 //
-// SPFs are computed lazily per root: construction is O(1), and a root's
-// tree is built on its first query (then cached). A topology change —
-// link cost, link up/down — is signalled with invalidate(), which bumps
-// the topology epoch; each root recomputes, into reused buffers, on its
-// first query after the bump. Fault-heavy runs thus pay one Dijkstra per
-// *queried* root per epoch instead of N up-front, and trials that touch
-// only part of the topology never compute the rest.
+// The routes are one immutable table holding the SPF of every root,
+// filled eagerly at construction from the topology as it is then. Routings
+// built over an identical topology share the table: a thread-local
+// one-entry memo, keyed by the node count and the exact edge list in LinkId
+// order (from, to, cost, delay, up), hands the second routing the first
+// one's table without running Dijkstra. The paired trials of one cell (the
+// four protocols over the same randomized costs) thus compute their routes
+// once. Only the default cost metric is shared; a routing built with its
+// own MetricFn fills a private table.
 //
-// Like the rest of the simulation substrate, an instance is confined to
-// one thread (the parallel experiment engine gives each trial its own
-// Session and therefore its own UnicastRouting); the lazy cache mutates
-// under const accessors and is not synchronized.
+// A topology change (link cost, link up/down) is signalled with
+// invalidate(). The shared table itself is never touched: the routing drops
+// its reference, and its next query builds (or finds in the memo) the table
+// of the topology as it is then. Until invalidate(), routes stay those of
+// the topology the table was built from, as an IGP that has not yet
+// reconverged would keep them.
+//
+// An instance is confined to one thread, like the rest of the simulation
+// substrate (the parallel experiment engine gives each cell's trials one
+// worker). Tables are immutable once built, so a table reaching another
+// thread through a copied reference is safe to read there.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -32,24 +43,34 @@ namespace hbh::routing {
 
 class UnicastRouting {
  public:
-  /// Prepares routing for the whole topology under `metric`. SPFs are
-  /// computed on first use per root.
-  explicit UnicastRouting(const net::Topology& topo,
-                          MetricFn metric = cost_metric());
+  /// Routes the whole topology under the link-cost metric, sharing the
+  /// table with this thread's last routing over an identical topology.
+  explicit UnicastRouting(const net::Topology& topo);
+
+  /// Routes under a custom metric, into a private (never shared) table.
+  UnicastRouting(const net::Topology& topo, MetricFn metric);
 
   /// Next hop on the shortest path from->to; kNoNode if to is unreachable
   /// or from == to.
-  [[nodiscard]] NodeId next_hop(NodeId from, NodeId to) const;
+  [[nodiscard]] NodeId next_hop(NodeId from, NodeId to) const {
+    return spf(from).first_hop[to.index()];
+  }
 
   /// The directed edge from -> next_hop(from, to); kNoLink when next_hop
   /// is kNoNode. Lets the fabric transmit without a topology lookup.
-  [[nodiscard]] LinkId next_link(NodeId from, NodeId to) const;
+  [[nodiscard]] LinkId next_link(NodeId from, NodeId to) const {
+    return spf(from).first_link[to.index()];
+  }
 
   /// Metric distance of the route from->to (kUnreachable if none).
-  [[nodiscard]] double distance(NodeId from, NodeId to) const;
+  [[nodiscard]] double distance(NodeId from, NodeId to) const {
+    return spf(from).dist[to.index()];
+  }
 
   /// Propagation delay accumulated along the route from->to.
-  [[nodiscard]] Time path_delay(NodeId from, NodeId to) const;
+  [[nodiscard]] Time path_delay(NodeId from, NodeId to) const {
+    return spf(from).delay[to.index()];
+  }
 
   [[nodiscard]] bool reachable(NodeId from, NodeId to) const {
     return distance(from, to) < kUnreachable;
@@ -63,36 +84,37 @@ class UnicastRouting {
   }
 
   /// The shortest-path tree rooted at `root` (routes root -> *). The
-  /// reference is invalidated by invalidate() followed by a query.
-  [[nodiscard]] const SpfResult& spf(NodeId root) const;
-
-  /// Marks every cached SPF stale after a topology change (cost edit,
-  /// link up/down). Roots recompute lazily on their next query — the
-  /// instantaneous-IGP-reconvergence model of Session::recompute_routes
-  /// without the O(N·Dijkstra) up-front cost per fault event.
-  void invalidate() noexcept { ++epoch_; }
-
-  /// Bumped by every invalidate(); diagnostic for tests and telemetry.
-  [[nodiscard]] std::uint64_t topology_epoch() const noexcept {
-    return epoch_;
+  /// reference is invalidated by invalidate().
+  [[nodiscard]] const SpfResult& spf(NodeId root) const {
+    assert(topo_.contains(root));
+    if (!table_) rebuild();
+    return (*table_)[root.index()];
   }
 
-  /// Total Dijkstra runs so far — observability into the lazy cache.
+  /// Drops the table after a topology change (cost edit, link up/down);
+  /// the next query rebuilds it from the current topology — the
+  /// instantaneous-IGP-reconvergence model of Session::recompute_routes.
+  /// Other routings sharing the old table keep their routes.
+  void invalidate() noexcept { table_.reset(); }
+
+  /// Dijkstra runs this routing performed: n per table it built, 0 when
+  /// the table came from the memo.
   [[nodiscard]] std::uint64_t spf_computations() const noexcept {
     return spf_runs_;
   }
 
+  /// One SpfResult per root, indexed by NodeId.
+  using Table = std::vector<SpfResult>;
+
  private:
-  /// Returns the up-to-date SPF for `root`, recomputing if stale.
-  const SpfResult& ensure(NodeId root) const;
+  /// Builds, or takes from the memo, the table of the current topology.
+  void rebuild() const;
 
   const net::Topology& topo_;
-  MetricFn metric_;
-  std::uint64_t epoch_ = 1;
-  // Lazy per-root cache; mutable because queries are logically const.
-  mutable std::vector<SpfResult> per_root_;
-  mutable std::vector<std::uint64_t> computed_epoch_;  ///< 0 = never built
-  mutable DijkstraScratch scratch_;
+  MetricFn metric_;  ///< empty: the shared link-cost metric
+  // Rebuilt lazily after invalidate(); mutable because queries are
+  // logically const.
+  mutable std::shared_ptr<const Table> table_;
   mutable std::uint64_t spf_runs_ = 0;
 };
 

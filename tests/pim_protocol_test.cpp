@@ -3,12 +3,16 @@
 // RP, including the two-part delay structure of §4.2.2.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "harness/session.hpp"
 #include "mcast/pim/router.hpp"
 #include "routing/unicast.hpp"
 #include "topo/builders.hpp"
 #include "topo/isp.hpp"
+#include "topo/random.hpp"
 #include "topo/scenarios.hpp"
+#include "util/rng.hpp"
 
 namespace hbh::harness {
 namespace {
@@ -194,6 +198,78 @@ TEST(ChooseRpTest, SingleRouterDegenerate) {
   const NodeId r = t.add_node();
   const routing::UnicastRouting routes{t};
   EXPECT_EQ(mcast::pim::choose_rp(routes, {r}), r);
+}
+
+// The path()-based delay-aware RP score, kept as the reference for the
+// parent-walk in mcast::pim::rp_delay_score: each shared-tree leg sums the
+// reverse-edge delays along path(other, candidate), from other's end.
+double reference_rp_delay_score(const routing::UnicastRouting& routes,
+                                const std::vector<NodeId>& routers,
+                                NodeId source, NodeId candidate) {
+  const auto& topo = routes.topology();
+  double score = routes.path_delay(source, candidate);
+  double down = 0;
+  std::size_t n = 0;
+  for (const NodeId other : routers) {
+    if (other == candidate) continue;
+    const auto up = routes.path(other, candidate);
+    Time delay = 0;
+    for (std::size_t i = 0; i + 1 < up.size(); ++i) {
+      delay += topo.edge(topo.find_link(up[i + 1], up[i]).value()).attrs.delay;
+    }
+    down += delay;
+    ++n;
+  }
+  if (n != 0) score += down / static_cast<double>(n);
+  return score;
+}
+
+NodeId reference_choose_rp_delay_aware(const routing::UnicastRouting& routes,
+                                       const std::vector<NodeId>& routers,
+                                       NodeId source) {
+  NodeId best = kNoNode;
+  double best_score = routing::kUnreachable;
+  for (const NodeId candidate : routers) {
+    const double score =
+        reference_rp_delay_score(routes, routers, source, candidate);
+    if (score < best_score) {
+      best_score = score;
+      best = candidate;
+    }
+  }
+  return best;
+}
+
+void expect_rp_matches_reference(topo::Scenario scenario) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    topo::Scenario s = scenario;
+    Rng rng{seed};
+    topo::randomize_costs(s.topo, rng);
+    const routing::UnicastRouting routes{s.topo};
+    for (const NodeId candidate : s.routers) {
+      const double got = mcast::pim::rp_delay_score(routes, s.routers,
+                                                    s.source_host, candidate);
+      const double want =
+          reference_rp_delay_score(routes, s.routers, s.source_host, candidate);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "seed " << seed << " candidate " << candidate.index();
+    }
+    EXPECT_EQ(mcast::pim::choose_rp_delay_aware(routes, s.routers,
+                                                s.source_host),
+              reference_choose_rp_delay_aware(routes, s.routers,
+                                              s.source_host))
+        << "seed " << seed;
+  }
+}
+
+TEST(ChooseRpTest, DelayAwareMatchesPathBasedReferenceOnIsp) {
+  expect_rp_matches_reference(topo::make_isp());
+}
+
+TEST(ChooseRpTest, DelayAwareMatchesPathBasedReferenceOnRandom50) {
+  Rng topo_rng{20010827};
+  expect_rp_matches_reference(topo::make_random50(topo_rng));
 }
 
 }  // namespace

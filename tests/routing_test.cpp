@@ -7,6 +7,9 @@
 #include "net/topology.hpp"
 #include "routing/dijkstra.hpp"
 #include "routing/unicast.hpp"
+#include "topo/builders.hpp"
+#include "topo/random.hpp"
+#include "util/rng.hpp"
 
 namespace hbh::routing {
 namespace {
@@ -203,36 +206,156 @@ TEST(UnicastRoutingTest, NextLinkIsTheEdgeToNextHop) {
   check_all();
 }
 
-TEST(UnicastRoutingTest, SpfComputationIsLazyPerRoot) {
-  const Topology t = diamond();
-  const UnicastRouting routes{t};
-  EXPECT_EQ(routes.spf_computations(), 0u);  // construction runs no SPF
-  (void)routes.distance(NodeId{0}, NodeId{3});
-  EXPECT_EQ(routes.spf_computations(), 1u);  // first query builds root 0
-  (void)routes.path(NodeId{0}, NodeId{2});
-  EXPECT_EQ(routes.spf_computations(), 1u);  // same root: cached
-  (void)routes.next_hop(NodeId{1}, NodeId{3});
-  EXPECT_EQ(routes.spf_computations(), 2u);  // new root
+// Points this thread's route-table memo at a topology no test below uses,
+// so each test starts from a known memo state whatever ran before it.
+void reset_memo() {
+  Topology other;
+  for (int i = 0; i < 2; ++i) other.add_node();
+  other.add_link(NodeId{1}, NodeId{0}, LinkAttrs{7, 7});
+  const UnicastRouting flush{other};
 }
 
-TEST(UnicastRoutingTest, InvalidateRecomputesOnlyQueriedRoots) {
+void expect_same_routes(const SpfResult& got, const SpfResult& want) {
+  EXPECT_EQ(got.root, want.root);
+  EXPECT_EQ(got.dist, want.dist);
+  EXPECT_EQ(got.parent, want.parent);
+  EXPECT_EQ(got.first_hop, want.first_hop);
+  EXPECT_EQ(got.first_link, want.first_link);
+  EXPECT_EQ(got.delay, want.delay);
+}
+
+TEST(UnicastRoutingTest, IdenticalTopologiesShareOneTable) {
+  reset_memo();
+  const Topology t1 = diamond();
+  const Topology t2 = diamond();  // a distinct object, identical content
+  const UnicastRouting first{t1};
+  EXPECT_EQ(first.spf_computations(), t1.node_count());  // eager: all roots
+  const UnicastRouting second{t2};
+  EXPECT_EQ(second.spf_computations(), 0u);
+  for (std::uint32_t r = 0; r < t1.node_count(); ++r) {
+    EXPECT_EQ(&first.spf(NodeId{r}), &second.spf(NodeId{r}));
+  }
+  EXPECT_EQ(second.next_hop(NodeId{0}, NodeId{3}), NodeId{1});
+}
+
+TEST(UnicastRoutingTest, AnyKeyDifferenceBuildsItsOwnTable) {
+  // Each variant differs from the diamond in exactly one part of the memo
+  // key: one edge's cost, delay or up flag, the edge order, or the node
+  // count. None may reuse the diamond's table, and each must route its
+  // own topology.
+  std::vector<Topology> variants;
+  {
+    Topology t = diamond();
+    const LinkId l = *t.find_link(NodeId{2}, NodeId{3});
+    t.set_cost_delay(l, 2, t.edge(l).attrs.delay);
+    variants.push_back(t);
+  }
+  {
+    Topology t = diamond();
+    const LinkId l = *t.find_link(NodeId{2}, NodeId{3});
+    t.set_cost_delay(l, t.edge(l).attrs.cost, 9);
+    variants.push_back(t);
+  }
+  {
+    Topology t = diamond();
+    t.set_link_up(*t.find_link(NodeId{3}, NodeId{2}), false);
+    variants.push_back(t);
+  }
+  {
+    Topology t;  // the diamond's edges, inserted in another order
+    for (int i = 0; i < 4; ++i) t.add_node();
+    t.add_duplex(NodeId{2}, NodeId{3}, LinkAttrs{1, 1});
+    t.add_duplex(NodeId{0}, NodeId{2}, LinkAttrs{5, 5});
+    t.add_duplex(NodeId{1}, NodeId{3}, LinkAttrs{1, 1});
+    t.add_duplex(NodeId{0}, NodeId{1}, LinkAttrs{1, 1});
+    variants.push_back(t);
+  }
+  {
+    Topology t = diamond();
+    t.add_node();  // isolated: no edge changes
+    variants.push_back(t);
+  }
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    reset_memo();
+    const Topology base = diamond();
+    const UnicastRouting shared{base};
+    const UnicastRouting routes{variants[i]};
+    EXPECT_EQ(routes.spf_computations(), variants[i].node_count())
+        << "variant " << i;
+    EXPECT_NE(&routes.spf(NodeId{0}), &shared.spf(NodeId{0}))
+        << "variant " << i;
+    for (std::uint32_t r = 0; r < variants[i].node_count(); ++r) {
+      expect_same_routes(routes.spf(NodeId{r}), dijkstra(variants[i], NodeId{r}));
+    }
+  }
+}
+
+TEST(UnicastRoutingTest, CustomMetricTableIsPrivate) {
+  reset_memo();
+  const Topology t = diamond();
+  const UnicastRouting by_cost{t};
+  const UnicastRouting by_metric{t, cost_metric()};
+  EXPECT_EQ(by_metric.spf_computations(), t.node_count());
+  EXPECT_NE(&by_metric.spf(NodeId{0}), &by_cost.spf(NodeId{0}));
+  // The private table did not displace the shared one from the memo.
+  const UnicastRouting again{t};
+  EXPECT_EQ(again.spf_computations(), 0u);
+  EXPECT_EQ(&again.spf(NodeId{0}), &by_cost.spf(NodeId{0}));
+}
+
+TEST(UnicastRoutingTest, RoutesStayStaleUntilInvalidate) {
+  reset_memo();
   Topology t = diamond();
   UnicastRouting routes{t};
+  // Take the cheap 0->1 edge down. Until invalidate(), every root keeps
+  // the routes of the topology the table was built from.
+  t.set_link_up(*t.find_link(NodeId{0}, NodeId{1}), false);
   EXPECT_DOUBLE_EQ(routes.distance(NodeId{0}, NodeId{3}), 2.0);  // via 1
-  const std::uint64_t before = routes.topology_epoch();
-
-  // Take the cheap 0->1 edge down; stale routes persist until invalidate.
-  const auto link = t.find_link(NodeId{0}, NodeId{1});
-  ASSERT_TRUE(link.has_value());
-  t.set_link_up(*link, false);
-  EXPECT_DOUBLE_EQ(routes.distance(NodeId{0}, NodeId{3}), 2.0);  // stale
+  EXPECT_EQ(routes.next_hop(NodeId{0}, NodeId{1}), NodeId{1});
+  EXPECT_EQ(routes.spf_computations(), t.node_count());
 
   routes.invalidate();
-  EXPECT_GT(routes.topology_epoch(), before);
   EXPECT_DOUBLE_EQ(routes.distance(NodeId{0}, NodeId{3}), 6.0);  // via 2
-  // Only root 0 was re-queried, so only root 0 recomputed: 1 (initial)
-  // + 1 (post-invalidate) SPFs for root 0, none for any other root.
-  EXPECT_EQ(routes.spf_computations(), 2u);
+  EXPECT_EQ(routes.spf_computations(), 2 * t.node_count());
+}
+
+TEST(UnicastRoutingTest, InvalidateOnOneSharerLeavesTheOtherUntouched) {
+  reset_memo();
+  const Topology kept = diamond();
+  Topology changed = diamond();
+  const UnicastRouting stays{kept};
+  UnicastRouting moves{changed};
+  const SpfResult* before = &stays.spf(NodeId{0});
+  ASSERT_EQ(before, &moves.spf(NodeId{0}));
+
+  changed.set_link_up(*changed.find_link(NodeId{0}, NodeId{1}), false);
+  moves.invalidate();
+  EXPECT_DOUBLE_EQ(moves.distance(NodeId{0}, NodeId{3}), 6.0);
+  EXPECT_EQ(moves.spf_computations(), changed.node_count());
+
+  EXPECT_EQ(&stays.spf(NodeId{0}), before);
+  EXPECT_DOUBLE_EQ(stays.distance(NodeId{0}, NodeId{3}), 2.0);
+  EXPECT_EQ(stays.next_hop(NodeId{0}, NodeId{3}), NodeId{1});
+  EXPECT_EQ(stays.spf_computations(), kept.node_count());
+}
+
+TEST(UnicastRoutingTest, TableEqualsFreshDijkstraOnRandom50) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    reset_memo();
+    Rng topo_rng{seed};
+    topo::Scenario s = topo::make_random50(topo_rng);
+    Rng cost_rng{seed * 7919};
+    topo::randomize_costs(s.topo, cost_rng);
+    const Topology copy = s.topo;
+    const UnicastRouting built{s.topo};
+    const UnicastRouting shared{copy};
+    EXPECT_EQ(shared.spf_computations(), 0u);
+    for (std::uint32_t r = 0; r < s.topo.node_count(); ++r) {
+      const SpfResult fresh = dijkstra(s.topo, NodeId{r});
+      expect_same_routes(built.spf(NodeId{r}), fresh);
+      expect_same_routes(shared.spf(NodeId{r}), fresh);
+    }
+  }
 }
 
 TEST(AsymmetryTest, SymmetricTopologyHasNoAsymmetry) {
