@@ -6,8 +6,10 @@
 # ctest cases (see bench/CMakeLists.txt); expects -DBENCH (binary path),
 # -DGOLDEN (expected stdout) and -DOUT (where the actual stdout is written),
 # and takes -DJOBS (HBH_JOBS, default 1): every job count must print the
-# same golden file. Knobs that change a figure's output are unset so a
-# stray environment cannot make the comparison pass or fail spuriously.
+# same golden file. Knobs that change a figure's output, and the artifact
+# paths that add a "report:" / "trace:" / "audit:" / "profile:" line (and
+# would profile the sweep), are unset so a stray environment cannot make
+# the comparison pass or fail spuriously.
 if(NOT DEFINED JOBS)
   set(JOBS 1)
 endif()
@@ -17,6 +19,8 @@ execute_process(
     --unset=HBH_CHURN_ON --unset=HBH_CHURN_OFF --unset=HBH_RATE
     --unset=HBH_PAYLOAD --unset=HBH_QUEUE_LIMIT --unset=HBH_AQM
     --unset=HBH_AUDIT --unset=HBH_LOG_LEVEL
+    --unset=HBH_REPORT --unset=HBH_PROF_OUT --unset=HBH_TRACE_OUT
+    --unset=HBH_AUDIT_OUT
     HBH_TRIALS=4 HBH_JOBS=${JOBS} ${BENCH}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE actual

@@ -31,7 +31,7 @@ foreach(needle
     "\"state.forwarding_entries\"" "\"net.tx_bytes.data\""
     "\"p50\"" "\"p95\"" "\"p99\"" "\"trace\"" "hbh.trace/v1"
     "\"convergence\"" "\"grafts\"" "\"mean_join_to_first_delivery\""
-    "\"perf_profile\"" "hbh.perf_profile/v1" "\"phases\"" "\"trial_setup\""
+    "\"perf_profile\"" "hbh.perf_profile/v2" "\"phases\"" "\"trial_setup\""
     "\"wall_ns\"" "\"cpu_ns\"" "\"peak_rss_bytes\""
     "\"wall_seconds\"")
   string(FIND "${doc}" "${needle}" pos)

@@ -3,11 +3,6 @@
 //
 // For each protocol: build the ISP session, converge the control plane,
 // then time a loop of source emissions draining through the simulator.
-// Built with -DHBH_PROF_ALLOC=ON the artifact also carries the exact
-// heap allocation count and bytes of the measured loop (the EventQueue
-// recycles its slot pool and SPF results are cached, so what remains is
-// per-packet payload/handler cost) — allocation regressions on the data
-// path show up as a counted number instead of a timing blur.
 //
 // Throughput (packets_per_second) varies with the machine; the packet
 // *counts* are pure simulation outputs and are deterministic for a fixed
@@ -64,8 +59,6 @@ struct ProtocolResult {
   std::uint64_t control_packets = 0;  ///< control riding along (soft state)
   std::uint64_t sim_events = 0;
   double wall_seconds = 0;
-  std::uint64_t allocs = 0;           ///< 0 unless -DHBH_PROF_ALLOC=ON
-  std::uint64_t alloc_bytes = 0;
   std::uint64_t queue_slots = 0;      ///< slot pool size after the loop
   std::uint64_t queue_pushes = 0;     ///< total pushes (reuse = pushes/slots)
   std::uint64_t queued_packets = 0;   ///< egress-queue admissions (queued mode)
@@ -134,7 +127,6 @@ ProtocolResult run_protocol(harness::Protocol protocol, std::uint64_t seed,
     HBH_PHASE("measure_loop");
     const net::NetworkCounters before = session.network().counters();
     const std::uint64_t events_before = session.simulator().executed();
-    const prof::AllocCounters alloc_before = prof::thread_alloc_counters();
     const auto start = Clock::now();
     for (std::size_t i = 0; i < rounds; ++i) {
       for (std::size_t b = 0; b < burst; ++b) (void)ch.inject_data();
@@ -143,7 +135,6 @@ ProtocolResult run_protocol(harness::Protocol protocol, std::uint64_t seed,
     session.run_for(kTailDrain);
     result.wall_seconds =
         std::chrono::duration<double>(Clock::now() - start).count();
-    const prof::AllocCounters alloc_after = prof::thread_alloc_counters();
     const net::NetworkCounters& after = session.network().counters();
     result.data_packets = after.data_transmissions - before.data_transmissions;
     result.control_packets =
@@ -152,8 +143,6 @@ ProtocolResult run_protocol(harness::Protocol protocol, std::uint64_t seed,
     result.queued_packets = after.queued_packets - before.queued_packets;
     result.drops_queue_full = after.drops_queue_full - before.drops_queue_full;
     result.drops_red = after.drops_red - before.drops_red;
-    result.allocs = alloc_after.allocs - alloc_before.allocs;
-    result.alloc_bytes = alloc_after.bytes - alloc_before.bytes;
     result.queue_slots = session.simulator().queue().slots_allocated();
     result.queue_pushes = session.simulator().queue().total_pushes();
   }
@@ -192,16 +181,15 @@ int main() {
         run_protocol(p, seed, rounds, warmup_rounds, burst, true));
   }
 
-  std::printf("%-10s %12s %12s %14s %14s %10s %9s %9s\n", "protocol",
-              "data_pkts", "ctrl_pkts", "packets/s", "events/s", "allocs",
-              "fp_hits", "fp_batch");
+  std::printf("%-10s %12s %12s %14s %14s %9s %9s\n", "protocol",
+              "data_pkts", "ctrl_pkts", "packets/s", "events/s", "fp_hits",
+              "fp_batch");
   for (const ProtocolResult& r : results) {
-    std::printf("%-10s %12llu %12llu %14.0f %14.0f %10llu %9llu %9.2f\n",
+    std::printf("%-10s %12llu %12llu %14.0f %14.0f %9llu %9.2f\n",
                 std::string(to_string(r.protocol)).c_str(),
                 static_cast<unsigned long long>(r.data_packets),
                 static_cast<unsigned long long>(r.control_packets),
                 r.packets_per_second(), r.events_per_second(),
-                static_cast<unsigned long long>(r.allocs),
                 static_cast<unsigned long long>(r.fastpath.hits),
                 r.fanout_mean_batch());
   }
@@ -240,7 +228,6 @@ int main() {
     w.member("warmup_rounds", static_cast<std::uint64_t>(warmup_rounds));
     w.member("burst", static_cast<std::uint64_t>(burst));
     w.member("seed", seed);
-    w.member("alloc_counting", prof::kAllocCountingCompiled);
     w.end_object();
     w.key("protocols");
     w.begin_object();
@@ -253,8 +240,6 @@ int main() {
       w.member("wall_seconds", r.wall_seconds);
       w.member("packets_per_second", r.packets_per_second());
       w.member("events_per_second", r.events_per_second());
-      w.member("allocs", r.allocs);
-      w.member("alloc_bytes", r.alloc_bytes);
       w.member("queue_slots", r.queue_slots);
       w.member("queue_pushes", r.queue_pushes);
       // Scrubbed (with the timings) from mode-equivalence comparisons:

@@ -77,6 +77,13 @@ struct TrialSetup {
   Time last_join = 0;  ///< time the last join fires
 };
 
+/// True when an output will read run_trial's phases: the HBH_PROF_OUT
+/// profile or the HBH_REPORT run report's perf_profile sections. Read on
+/// every call (not cached) so a test can set the variables.
+bool profile_requested() {
+  return !env_prof_out().empty() || !env_report_path().empty();
+}
+
 TrialSetup prepare_trial(const ExperimentSpec& spec, Protocol protocol,
                          std::size_t group_size, std::size_t trial_index) {
   HBH_PHASE("trial_setup");
@@ -109,15 +116,17 @@ TrialSetup prepare_trial(const ExperimentSpec& spec, Protocol protocol,
 
 TrialResult run_trial(const ExperimentSpec& spec, Protocol protocol,
                       std::size_t group_size, std::size_t trial_index) {
-  // Per-trial profiler, merged into the process-wide per-protocol
-  // aggregate on completion. Stats are integers summed under a mutex, so
-  // the aggregated phase *counts* are identical no matter which TrialPool
-  // worker ran which trial (the HBH_JOBS determinism contract); only
-  // timings vary.
+  // Per-trial profiler, installed only when a profile output will read it
+  // and then merged into the process-wide per-protocol aggregate on
+  // completion. Stats are integers summed under a mutex, so the aggregated
+  // phase *counts* are identical no matter which TrialPool worker ran which
+  // trial (the HBH_JOBS determinism contract); only timings vary.
+  const bool profiled = profile_requested();
   prof::PhaseProfiler profiler;
   TrialResult result;
   {
-    const prof::ScopedProfiler install{profiler};
+    std::optional<prof::ScopedProfiler> install;
+    if (profiled) install.emplace(profiler);
     TrialSetup setup = prepare_trial(spec, protocol, group_size, trial_index);
     Session& session = *setup.session;
     {
@@ -133,7 +142,7 @@ TrialResult run_trial(const ExperimentSpec& spec, Protocol protocol,
     // trial's profiler before it merges into the per-protocol aggregate.
     session.flush_fastpath_profile();
   }
-  prof::process_profile().merge(to_string(protocol), profiler);
+  if (profiled) prof::process_profile().merge(to_string(protocol), profiler);
   return result;
 }
 

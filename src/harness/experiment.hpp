@@ -53,6 +53,9 @@ struct TrialResult {
 };
 
 /// Runs a single (topology variant, protocol, group size, trial) cell.
+/// When a profile output is requested (HBH_PROF_OUT or HBH_REPORT), the
+/// trial's phases are merged into prof::process_profile() under the
+/// protocol's label; otherwise no profiler is installed.
 [[nodiscard]] TrialResult run_trial(const ExperimentSpec& spec,
                                     Protocol protocol, std::size_t group_size,
                                     std::size_t trial_index);
@@ -158,9 +161,9 @@ bool maybe_write_audit_from_env(const ExperimentSpec& spec,
                                 std::string_view figure,
                                 const SessionHook& customize = {});
 
-/// Writes the process-wide phase profile accumulated so far (every trial
-/// run_trial executed, the report deep-dives, report rendering) as a
-/// standalone hbh.perf_profile/v1 document keyed by protocol label.
+/// Writes the process-wide phase profile accumulated so far (every
+/// profiled run_trial, the report deep-dives, report rendering) as a
+/// standalone hbh.perf_profile/v2 document keyed by protocol label.
 /// Timings vary run to run; phase counts are deterministic at any
 /// HBH_JOBS. Returns false if the file could not be created.
 bool write_profile_file(std::string_view figure, const std::string& path);

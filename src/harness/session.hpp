@@ -372,8 +372,7 @@ class Session {
   /// in packets hop by hop, so retransmissions, table mutations, drops,
   /// and deliveries become causally-parented child spans. Span ids are
   /// allocated in simulation-event order, so two identical runs produce
-  /// identical traces. Idempotent; free on the packet path unless called
-  /// (and fully compiled out under HBH_NO_TELEMETRY).
+  /// identical traces. Idempotent; free on the packet path unless called.
   metrics::Tracer& enable_tracing(std::size_t capacity = 1u << 20);
 
   /// Null until enable_tracing() is called.
@@ -389,7 +388,7 @@ class Session {
   /// thresholds derive from this session's soft-state timers. `strict`
   /// makes the first violation throw. Idempotent; also auto-enabled by
   /// the HBH_AUDIT environment knob (docs/OBSERVABILITY.md). Free on the
-  /// packet path unless called, and compiled out under HBH_NO_TELEMETRY.
+  /// packet path unless called.
   metrics::Auditor& enable_audit(bool strict = false);
 
   /// Null until enable_audit() is called (or HBH_AUDIT is set).

@@ -55,8 +55,7 @@ std::uint16_t CompiledForwarder::channel_slot(const net::Channel& ch) {
 
 bool CompiledForwarder::on_deliver(NodeId to, NodeId from,
                                    net::Packet& packet) {
-  const bool timing =
-      prof::kProfilerCompiled && prof::current_profiler() != nullptr;
+  const bool timing = prof::current_profiler() != nullptr;
   const std::uint64_t t0 = timing ? mono_ns() : 0;
   pending_compile_ns_ = 0;
   Block& b = block(to);
@@ -223,8 +222,7 @@ bool CompiledForwarder::dispatch_pim(Block& b, NodeId to, NodeId from,
 }
 
 void CompiledForwarder::compile_block(Block& b, NodeId n) {
-  const bool timing =
-      prof::kProfilerCompiled && prof::current_profiler() != nullptr;
+  const bool timing = prof::current_profiler() != nullptr;
   const std::uint64_t t0 = timing ? mono_ns() : 0;
   net::ProtocolAgent& agent = net_->agent(n);
   b.addr = net::node_address(n);
@@ -265,8 +263,7 @@ void CompiledForwarder::compile_block(Block& b, NodeId n) {
 
 void CompiledForwarder::compile_entry(Block& b, ChannelEntry& e,
                                       const net::Channel& ch) {
-  const bool timing =
-      prof::kProfilerCompiled && prof::current_profiler() != nullptr;
+  const bool timing = prof::current_profiler() != nullptr;
   const std::uint64_t t0 = timing ? mono_ns() : 0;
   const Time now = net_->simulator().now();
   e.has_table = false;

@@ -19,9 +19,10 @@ std::vector<NodeId> PimRouter::oifs(const net::Channel& ch) const {
   return out;
 }
 
-void PimRouter::purge(const net::Channel& ch, const net::TraceContext& ctx) {
+PimRouter::GroupMap::iterator PimRouter::purge(
+    const net::Channel& ch, const net::TraceContext& ctx) {
   const auto it = groups_.find(ch);
-  if (it == groups_.end()) return;
+  if (it == groups_.end()) return it;
   const bool tracing = ctx.active() && net().trace_hook() != nullptr;
   auto& oifs = it->second.oifs;
   bool changed = false;
@@ -34,8 +35,10 @@ void PimRouter::purge(const net::Channel& ch, const net::TraceContext& ctx) {
       e = std::next(e);
     }
   }
-  if (oifs.empty()) groups_.erase(it);
   if (changed) note_table_mutation();
+  if (!oifs.empty()) return it;
+  groups_.erase(it);
+  return groups_.end();
 }
 
 void PimRouter::handle(Packet&& packet, NodeId from) {
@@ -59,8 +62,7 @@ void PimRouter::handle(Packet&& packet, NodeId from) {
 
 void PimRouter::on_prune(Packet&& packet, NodeId from) {
   const net::Channel ch = packet.channel;
-  purge(ch, packet.trace);
-  const auto it = groups_.find(ch);
+  const auto it = purge(ch, packet.trace);
   if (it == groups_.end()) {
     // No local state (already expired): let the prune keep travelling so
     // upstream state still tears down.
@@ -87,13 +89,14 @@ void PimRouter::on_prune(Packet&& packet, NodeId from) {
 
 void PimRouter::on_join(Packet&& packet, NodeId from) {
   const net::Channel ch = packet.channel;
-  purge(ch, packet.trace);
+  auto group = purge(ch, packet.trace);
   if (!from.valid()) {
     // Self-originated (shouldn't happen for routers); just forward.
     forward(std::move(packet));
     return;
   }
-  GroupState& st = groups_[ch];
+  if (group == groups_.end()) group = groups_.try_emplace(ch).first;
+  GroupState& st = group->second;
   st.root = packet.pim_join().root;
   auto [it, inserted] = st.oifs.try_emplace(from, config_, now());
   if (!inserted) it->second.refresh(config_, now());
@@ -107,11 +110,10 @@ void PimRouter::on_join(Packet&& packet, NodeId from) {
   forward(std::move(packet));             // keep travelling toward the root
 }
 
-void PimRouter::replicate(const net::Channel& ch, const Packet& packet,
+void PimRouter::replicate(GroupMap::iterator group, const Packet& packet,
                           NodeId skip) {
-  const auto it = groups_.find(ch);
-  if (it == groups_.end()) return;
-  for (const auto& [neighbor, entry] : it->second.oifs) {
+  if (group == groups_.end()) return;
+  for (const auto& [neighbor, entry] : group->second.oifs) {
     if (neighbor == skip || entry.dead(now())) continue;
     net().send_direct(self(), neighbor, Packet{packet});  // one copy per oif
   }
@@ -119,20 +121,20 @@ void PimRouter::replicate(const net::Channel& ch, const Packet& packet,
 
 void PimRouter::on_data(Packet&& packet, NodeId from) {
   const net::Channel ch = packet.channel;
-  purge(ch, packet.trace);
+  const auto group = purge(ch, packet.trace);
   if (packet.data().encapsulated && packet.dst == self_addr()) {
     // We are the RP: decapsulate the register-tunnelled packet and inject
     // it into the shared tree (group-addressed from here on).
     Packet decap = packet;
     decap.data().encapsulated = false;
     decap.dst = ch.group.addr();
-    replicate(ch, decap, kNoNode);
+    replicate(group, decap, kNoNode);
     return;
   }
   if (packet.dst == ch.group.addr()) {
     // Group-addressed data travelling down the tree: RPF replication to
     // all oifs except the one it arrived on.
-    replicate(ch, packet, from);
+    replicate(group, packet, from);
     return;
   }
   // Unicast transit (e.g. register tunnel S->RP passing through).

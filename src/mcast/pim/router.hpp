@@ -54,22 +54,25 @@ class PimRouter : public net::ProtocolAgent {
     Ipv4Addr root;
     std::map<NodeId, SoftEntry> oifs;  ///< downstream neighbor -> liveness
   };
+  using GroupMap = std::unordered_map<net::Channel, GroupState>;
 
   void on_join(net::Packet&& packet, NodeId from);
   void on_prune(net::Packet&& packet, NodeId from);
   void on_data(net::Packet&& packet, NodeId from);
   /// Lazily drops dead oifs; each one becomes an "evict" instant under
   /// `ctx` (the span of the packet whose arrival triggered the purge).
-  void purge(const net::Channel& ch, const net::TraceContext& ctx = {});
+  /// Returns the channel's entry, or groups_.end() when it has none left.
+  GroupMap::iterator purge(const net::Channel& ch,
+                           const net::TraceContext& ctx = {});
 
-  /// Replicates `packet` to every live oif except `skip`.
-  void replicate(const net::Channel& ch, const net::Packet& packet,
+  /// Replicates `packet` to every live oif of `group` except `skip`.
+  void replicate(GroupMap::iterator group, const net::Packet& packet,
                  NodeId skip);
 
   [[nodiscard]] Time now() const { return simulator().now(); }
 
   McastConfig config_;
-  std::unordered_map<net::Channel, GroupState> groups_;
+  GroupMap groups_;
 };
 
 /// Picks the rendez-vous point for PIM-SM: the router minimizing the total

@@ -16,8 +16,7 @@
 // optionally fatal: strict mode throws on the first violation so CI turns
 // every bench into a self-checking correctness probe. Everything here
 // observes virtual time only, so output is byte-identical across HBH_JOBS
-// and HBH_FASTPATH; like all telemetry it compiles out to no-ops under
-// -DHBH_NO_TELEMETRY=ON.
+// and HBH_FASTPATH.
 #pragma once
 
 #include <array>

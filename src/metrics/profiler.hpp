@@ -1,4 +1,4 @@
-// Serialization of phase profiles (schema "hbh.perf_profile/v1").
+// Serialization of phase profiles (schema "hbh.perf_profile/v2").
 //
 // The profiler core lives in src/util/profiler.hpp so the instrumented
 // layers (routing, sim, mcast) can open HBH_PHASE scopes without a
@@ -21,14 +21,14 @@
 
 namespace hbh::metrics {
 
-inline constexpr std::string_view kPerfProfileSchema = "hbh.perf_profile/v1";
+inline constexpr std::string_view kPerfProfileSchema = "hbh.perf_profile/v2";
 
-/// Writes a "phases" object value: {"<path>": {count, wall_ns, cpu_ns,
-/// allocs, alloc_bytes}, ...}. Expects the writer positioned for a value.
+/// Writes a "phases" object value: {"<path>": {count, wall_ns, cpu_ns}, ...}.
+/// Expects the writer positioned for a value.
 void write_phase_map(JsonWriter& w, const prof::PhaseMap& phases);
 
 /// Writes a full perf_profile section value: {"schema", "phases",
-/// "resources": {peak_rss_bytes, alloc_counting}}.
+/// "resources": {peak_rss_bytes}}.
 void write_perf_profile(JsonWriter& w, const prof::PhaseMap& phases);
 
 /// Writes a standalone {schema, info, labels: {<label>: {phases}}, resources}

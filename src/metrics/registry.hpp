@@ -6,8 +6,7 @@
 //    and then update through a stable reference; updates are one branch
 //    plus one add.
 //  * ~zero cost when disabled — every update checks a single shared
-//    `enabled` flag, and defining HBH_NO_TELEMETRY compiles updates out
-//    entirely (benches measure the event loop, not the bookkeeping).
+//    `enabled` flag.
 //  * Single-threaded by design, like the simulator it observes: one
 //    Registry belongs to one run (harness::Session owns one per session).
 #pragma once
@@ -25,21 +24,11 @@
 
 namespace hbh::metrics {
 
-#ifdef HBH_NO_TELEMETRY
-inline constexpr bool kTelemetryCompiled = false;
-#else
-inline constexpr bool kTelemetryCompiled = true;
-#endif
-
 /// Monotonically increasing event count.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
-    if constexpr (kTelemetryCompiled) {
-      if (*enabled_) value_ += n;
-    } else {
-      (void)n;
-    }
+    if (*enabled_) value_ += n;
   }
 
   [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
@@ -57,18 +46,10 @@ class Counter {
 class Gauge {
  public:
   void set(double v) noexcept {
-    if constexpr (kTelemetryCompiled) {
-      if (*enabled_) value_ = v;
-    } else {
-      (void)v;
-    }
+    if (*enabled_) value_ = v;
   }
   void add(double delta) noexcept {
-    if constexpr (kTelemetryCompiled) {
-      if (*enabled_) value_ += delta;
-    } else {
-      (void)delta;
-    }
+    if (*enabled_) value_ += delta;
   }
 
   /// Binds the gauge to a provider; value() then reflects the callback.
@@ -92,16 +73,12 @@ class Gauge {
 class Histogram {
  public:
   void observe(double v) noexcept {
-    if constexpr (kTelemetryCompiled) {
-      if (!*enabled_) return;
-      std::size_t i = 0;
-      while (i < bounds_.size() && v > bounds_[i]) ++i;
-      ++counts_[i];
-      sum_ += v;
-      ++total_;
-    } else {
-      (void)v;
-    }
+    if (!*enabled_) return;
+    std::size_t i = 0;
+    while (i < bounds_.size() && v > bounds_[i]) ++i;
+    ++counts_[i];
+    sum_ += v;
+    ++total_;
   }
 
   /// Bucket upper bounds; counts() has one extra trailing overflow bucket.

@@ -69,7 +69,6 @@ net::TraceContext Tracer::open(std::uint64_t trace_id,
 
 net::TraceContext Tracer::root(std::string_view name, NodeId node,
                                const net::Channel& channel, Ipv4Addr subject) {
-  if constexpr (!kTelemetryCompiled) return {};
   if (!enabled_) return {};
   const Time now = sim_.now();
   return open(0, 0, SpanKind::kRoot, name, node, channel, subject,
@@ -80,7 +79,6 @@ net::TraceContext Tracer::child(const net::TraceContext& parent,
                                 std::string_view name, NodeId node,
                                 const net::Channel& channel,
                                 Ipv4Addr subject) {
-  if constexpr (!kTelemetryCompiled) return {};
   if (!enabled_ || !parent.active()) return parent;
   const Time now = sim_.now();
   return open(parent.trace_id, parent.span_id, SpanKind::kChild, name, node,
@@ -90,7 +88,6 @@ net::TraceContext Tracer::child(const net::TraceContext& parent,
 void Tracer::instant(const net::TraceContext& parent, std::string_view name,
                      NodeId node, const net::Channel& channel,
                      Ipv4Addr subject) {
-  if constexpr (!kTelemetryCompiled) return;
   if (!enabled_ || !parent.active()) return;
   const Time now = sim_.now();
   open(parent.trace_id, parent.span_id, SpanKind::kInstant, name, node,
@@ -100,7 +97,6 @@ void Tracer::instant(const net::TraceContext& parent, std::string_view name,
 net::TraceContext Tracer::on_transmit(const net::Topology::Edge& edge,
                                       const net::Packet& packet, Time start,
                                       Time arrival) {
-  if constexpr (!kTelemetryCompiled) return packet.trace;
   if (!enabled_ || !packet.trace.active()) return packet.trace;
   std::string name{"tx:"};
   name.append(net::to_string(packet.type));
@@ -111,7 +107,6 @@ net::TraceContext Tracer::on_transmit(const net::Topology::Edge& edge,
 
 void Tracer::on_drop(NodeId at, const net::Packet& packet,
                      net::DropReason reason, Time now) {
-  if constexpr (!kTelemetryCompiled) return;
   if (!enabled_ || !packet.trace.active()) return;
   std::string name{"drop:"};
   name.append(net::to_string(reason));

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "metrics/registry.hpp"  // kTelemetryCompiled
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 

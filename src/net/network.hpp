@@ -127,7 +127,7 @@ class ProtocolAgent {
 /// triggered actions; on_transmit mints a child span for every wire copy so
 /// the context a packet carries always names its causal parent at the next
 /// hop. All methods are no-ops / return inactive contexts when tracing is
-/// compiled out or no hook is installed.
+/// disabled or no hook is installed.
 class TraceHook {
  public:
   virtual ~TraceHook() = default;

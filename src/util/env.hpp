@@ -61,7 +61,7 @@ namespace hbh {
 /// knob set never overwrites one artifact with another.
 [[nodiscard]] std::string env_perf_out(std::string_view fallback);
 
-/// HBH_PROF_OUT — path for a standalone hbh.perf_profile/v1 phase-profile
+/// HBH_PROF_OUT — path for a standalone hbh.perf_profile/v2 phase-profile
 /// JSON of the whole process (docs/OBSERVABILITY.md "Phase profiling");
 /// empty = no profile file.
 [[nodiscard]] std::string env_prof_out();

@@ -1,10 +1,15 @@
 // Performance observatory: phase profiler semantics (nesting, merge,
-// jobs-invariance, the HBH_NO_TELEMETRY kill switch) and the baseline
+// jobs-invariance, run_trial profiling only on request) and the baseline
 // regression checker behind tools/perf_compare.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "metrics/baseline.hpp"
@@ -16,6 +21,33 @@
 namespace hbh {
 namespace {
 
+/// Sets (or, with a null value, unsets) an environment variable for its
+/// own lifetime and restores the previous value afterwards.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
 TEST(PhaseProfiler, NestedScopesRecordSlashJoinedPaths) {
   prof::PhaseProfiler profiler;
   {
@@ -23,12 +55,6 @@ TEST(PhaseProfiler, NestedScopesRecordSlashJoinedPaths) {
     prof::PhaseScope outer{"outer"};
     { prof::PhaseScope inner{"inner"}; }
     { prof::PhaseScope inner{"inner"}; }
-  }
-  if (!prof::kProfilerCompiled) {
-    // Kill switch: with -DHBH_NO_TELEMETRY=ON even direct PhaseScope use
-    // must record nothing.
-    EXPECT_TRUE(profiler.phases().empty());
-    return;
   }
   ASSERT_EQ(profiler.phases().size(), 2u);
   const prof::PhaseStats& outer = profiler.phases().at("outer");
@@ -41,7 +67,6 @@ TEST(PhaseProfiler, NestedScopesRecordSlashJoinedPaths) {
 }
 
 TEST(PhaseProfiler, ScopedProfilerRestoresPreviousSink) {
-  if (!prof::kProfilerCompiled) GTEST_SKIP() << "profiler compiled out";
   prof::PhaseProfiler a;
   prof::PhaseProfiler b;
   {
@@ -65,7 +90,6 @@ TEST(PhaseProfiler, ScopeWithoutInstalledProfilerIsANoOp) {
 }
 
 TEST(PhaseAggregator, MergeAddsCountsPerLabel) {
-  if (!prof::kProfilerCompiled) GTEST_SKIP() << "profiler compiled out";
   prof::PhaseAggregator agg;
   prof::PhaseProfiler p1;
   prof::PhaseProfiler p2;
@@ -90,15 +114,23 @@ TEST(PhaseAggregator, MergeAddsCountsPerLabel) {
   EXPECT_TRUE(agg.snapshot("HBH").empty());
 }
 
-// The contract the perf_profile report section depends on: phase *counts*
-// aggregated across the trial pool are identical for any worker count
-// (merge order commutes; only wall/CPU timings vary).
-TEST(PhaseProfiler, RunAllPhaseCountsAreJobsInvariant) {
-  if (!prof::kProfilerCompiled) GTEST_SKIP() << "profiler compiled out";
+/// A 2-size x 3-trial ISP sweep: small enough for a unit test, large
+/// enough that every protocol builds, refreshes and measures a tree.
+harness::ExperimentSpec small_isp_spec() {
   harness::ExperimentSpec spec;
   spec.topology = harness::TopoKind::kIsp;
   spec.group_sizes = {4, 8};
   spec.trials = 3;
+  return spec;
+}
+
+// The contract the perf_profile report section depends on: phase *counts*
+// aggregated across the trial pool are identical for any worker count
+// (merge order commutes; only wall/CPU timings vary). run_trial profiles
+// only when a profile output is requested, so the test requests one.
+TEST(PhaseProfiler, RunAllPhaseCountsAreJobsInvariant) {
+  const ScopedEnv prof_out{"HBH_PROF_OUT", "unused_profile.json"};
+  const harness::ExperimentSpec spec = small_isp_spec();
 
   auto counts_at = [&](std::size_t jobs) {
     prof::process_profile().reset();
@@ -124,17 +156,61 @@ TEST(PhaseProfiler, RunAllPhaseCountsAreJobsInvariant) {
   EXPECT_EQ(serial, parallel);
 }
 
+// Profiling observes a trial without changing it: run_all gives
+// bit-identical figures with and without a profile requested, and with
+// none requested no trial installs a profiler at all.
+TEST(PhaseProfiler, RunAllResultsDoNotDependOnProfiling) {
+  const harness::ExperimentSpec spec = small_isp_spec();
+
+  prof::process_profile().reset();
+  std::vector<harness::SweepResult> plain;
+  {
+    const ScopedEnv prof_out{"HBH_PROF_OUT", nullptr};
+    const ScopedEnv report{"HBH_REPORT", nullptr};
+    plain = harness::run_all(spec, 1);
+  }
+  EXPECT_TRUE(prof::process_profile().snapshot().empty());
+  std::vector<harness::SweepResult> profiled;
+  {
+    const ScopedEnv prof_out{"HBH_PROF_OUT", "unused_profile.json"};
+    profiled = harness::run_all(spec, 1);
+  }
+  EXPECT_FALSE(prof::process_profile().snapshot().empty());
+  prof::process_profile().reset();
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto same = [&](const RunningStats& a, const RunningStats& b) {
+    return a.count() == b.count() && bits(a.mean()) == bits(b.mean()) &&
+           bits(a.variance()) == bits(b.variance()) &&
+           bits(a.min()) == bits(b.min()) && bits(a.max()) == bits(b.max());
+  };
+  ASSERT_EQ(plain.size(), profiled.size());
+  for (std::size_t p = 0; p < plain.size(); ++p) {
+    ASSERT_EQ(plain[p].cells.size(), profiled[p].cells.size());
+    for (std::size_t c = 0; c < plain[p].cells.size(); ++c) {
+      const harness::SweepCell& a = plain[p].cells[c];
+      const harness::SweepCell& b = profiled[p].cells[c];
+      EXPECT_TRUE(same(a.tree_cost, b.tree_cost))
+          << to_string(plain[p].protocol) << " size " << a.group_size;
+      EXPECT_TRUE(same(a.mean_delay, b.mean_delay))
+          << to_string(plain[p].protocol) << " size " << a.group_size;
+      EXPECT_EQ(a.delivery_failures, b.delivery_failures);
+    }
+  }
+}
+
 TEST(PerfProfileJson, WritesSchemaAndPhases) {
   prof::PhaseMap phases;
-  phases["warmup"] = prof::PhaseStats{.count = 3, .wall_ns = 500, .cpu_ns = 400,
-                                      .allocs = 0, .alloc_bytes = 0};
+  phases["warmup"] =
+      prof::PhaseStats{.count = 3, .wall_ns = 500, .cpu_ns = 400};
   std::ostringstream out;
   metrics::JsonWriter w{out};
   metrics::write_perf_profile(w, phases);
   const std::string doc = out.str();
-  EXPECT_NE(doc.find("hbh.perf_profile/v1"), std::string::npos);
+  EXPECT_NE(doc.find("hbh.perf_profile/v2"), std::string::npos);
   EXPECT_NE(doc.find("\"warmup\""), std::string::npos);
   EXPECT_NE(doc.find("\"peak_rss_bytes\""), std::string::npos);
+  EXPECT_EQ(doc.find("alloc"), std::string::npos);  // v2 dropped alloc keys
   // The artifact must itself be valid JSON.
   metrics::JsonValue parsed;
   std::string error;

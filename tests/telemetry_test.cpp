@@ -424,7 +424,6 @@ TEST_F(DropCounterTest, StatsCountersAndTracerSpansAgreeWithTheFabric) {
   // One run mixing loss, link-down, TTL expiry and undeliverable packets,
   // each sent once untraced and once traced: the stats tap's counters, the
   // fabric's own NetworkCounters and the tracer's drop spans must agree.
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   metrics::Tracer tracer{sim_};
   net_->set_trace_hook(&tracer);
   net_->add_tap(&tracer);

@@ -6,8 +6,6 @@
 //   * wall-clock and host-load fields: wall_seconds, wall_ns, cpu_ns,
 //     packets_per_second, events_per_second, peak_rss_bytes,
 //     audit_wall_seconds
-//   * allocator counters (allocs, alloc_bytes): identical for a fixed
-//     build, but the fast path legitimately changes allocation shape
 //   * any key containing "fastpath": the fast-path telemetry (stats
 //     sub-objects, fastpath.* gauges, fastpath/* profile phases) is zero
 //     or absent with HBH_FASTPATH=0 by definition
@@ -31,9 +29,9 @@ using hbh::metrics::JsonWriter;
 
 bool scrubbed_key(std::string_view key) {
   static constexpr std::string_view kDropped[] = {
-      "wall_seconds",       "wall_ns",          "cpu_ns",
-      "allocs",             "alloc_bytes",      "packets_per_second",
-      "events_per_second",  "peak_rss_bytes",   "audit_wall_seconds",
+      "wall_seconds",      "wall_ns",        "cpu_ns",
+      "packets_per_second", "events_per_second", "peak_rss_bytes",
+      "audit_wall_seconds",
   };
   for (const std::string_view k : kDropped) {
     if (key == k) return true;
